@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,17 @@ MEASURES = ("mean", "std_dev", "p95")
 CSV_COLUMNS = ("method", "qoi", "measure", "budget", "estimate",
                "rel_error", "wall_time_s", "status")
 
+_SIM_KEYS = ("time_step", "final_time", "newmark_beta", "newmark_gamma")
+_SCALAR_KEYS = ("air_density", "gust_onset_time", "seed", "quantile",
+                "truth_train", "truth_surrogate_samples", "truth_check_samples",
+                "surrogate_samples", "bins", "timing")
+_CONFIG_KEYS = frozenset(("inputs", "wing", "methods", "budgets")
+                         + _SIM_KEYS + _SCALAR_KEYS)
+_COUNT_FIELDS = ("truth_train", "truth_surrogate_samples", "truth_check_samples",
+                 "surrogate_samples", "bins")
+
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -66,26 +78,33 @@ class StudyConfig:
     def __post_init__(self):
         if list(self.budgets) != sorted(set(self.budgets)):
             raise ValueError("budgets must be strictly increasing")
+        if self.budgets and self.budgets[0] < 1:
+            raise ValueError(f"budgets must be at least 1, got {self.budgets}")
+        if not 0.0 < self.quantile < 1.0:
+            raise ValueError(f"quantile must lie in (0, 1), got {self.quantile}")
+        for name in _COUNT_FIELDS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; pick from {METHODS}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
+        unknown = sorted(set(data) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; "
+                             f"valid keys are {sorted(_CONFIG_KEYS)}")
         kwargs = {}
         if "inputs" in data:
             kwargs["space"] = InputSpace(tuple(
                 UncertainInput(name, lo, hi) for name, lo, hi in data["inputs"]))
         if "wing" in data:
             kwargs["wing"] = WingModel(**data["wing"])
-        sim_keys = {k: data[k] for k in
-                    ("time_step", "final_time", "newmark_beta", "newmark_gamma")
-                    if k in data}
+        sim_keys = {k: data[k] for k in _SIM_KEYS if k in data}
         if sim_keys:
             kwargs["sim"] = SimulationConfig(**sim_keys)
-        for key in ("air_density", "gust_onset_time", "seed", "quantile",
-                    "truth_train", "truth_surrogate_samples", "truth_check_samples",
-                    "surrogate_samples", "bins", "timing"):
+        for key in _SCALAR_KEYS:
             if key in data:
                 kwargs[key] = data[key]
         if "methods" in data:
@@ -284,13 +303,20 @@ def run_convergence(config: StudyConfig, truth: GroundTruth | None = None,
                     oracle=None) -> list[ConvergenceRecord]:
     """Sweep every configured method over the budget grid against ground truth.
 
-    A method failure at one budget yields records flagged "failed"; the
-    sweep continues. Reported budgets are the wrapped oracle's exact
-    invocation counts.
+    A method failure at one budget yields records flagged "failed" and a
+    logged warning naming its cause; the sweep continues. Reported budgets
+    are the wrapped oracle's exact invocation counts. A ground-truth
+    measure of 0 leaves relative errors undefined and raises ValueError
+    before the sweep starts.
     """
     oracle = oracle or build_oracle(config)
     truth = truth or run_ground_truth(config, oracle)
     truth_by_qoi = dict(zip(QOI_NAMES, truth.risk))
+    for qoi, risk in truth_by_qoi.items():
+        for measure in MEASURES:
+            if getattr(risk, measure) == 0.0:
+                raise ValueError(f"ground truth for {qoi} has {measure} = 0, so "
+                                 "relative errors against it are undefined")
 
     records = []
     for method in config.methods:
@@ -301,7 +327,9 @@ def run_convergence(config: StudyConfig, truth: GroundTruth | None = None,
             try:
                 estimates = runner(counting, config, budget)
                 status = "ok"
-            except Exception:
+            except Exception as exc:
+                _log.warning("method %s failed at budget %d: %s: %s",
+                             method, budget, type(exc).__name__, exc)
                 estimates = None
                 status = "failed"
             elapsed = time.perf_counter() - start if config.timing else 0.0

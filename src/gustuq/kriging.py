@@ -58,7 +58,7 @@ class KrigingModel:
         values = np.array(data["train_values"], dtype=float)
         theta = np.array(data["lengthscales"], dtype=float)
         nugget = float(data["nugget"])
-        corr = _correlation(points, theta, nugget)
+        corr = _correlation(_sq_dists(points, points), theta, nugget)
         factor = cho_factor(corr, lower=True)
         alpha = cho_solve(factor, values - data["trend"])
         return cls(train_points=points, train_values=values, lengthscales=theta,
@@ -71,9 +71,13 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] - b[None, :, :]) ** 2
 
 
-def _correlation(points: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
-    corr = np.exp(-_sq_dists(points, points) @ theta)
-    return corr + nugget * np.eye(points.shape[0])
+def _correlation(sq: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
+    """R + nugget I from the design's cached (n, n, d) squared differences."""
+    corr = sq @ theta
+    np.negative(corr, out=corr)
+    np.exp(corr, out=corr)
+    corr.flat[::corr.shape[0] + 1] += nugget
+    return corr
 
 
 # Smallest acceptable ratio of Cholesky diagonal extremes; below this the
@@ -81,14 +85,14 @@ def _correlation(points: np.ndarray, theta: np.ndarray, nugget: float) -> np.nda
 _MIN_DIAG_RATIO = 1e-3
 
 
-def _concentrated_fit(points, values, theta, nugget):
+def _concentrated_fit(sq, values, theta, nugget):
     """(log-likelihood, trend, process variance, cholesky factor) at fixed theta.
 
     Raises LinAlgError for non-SPD or numerically near-singular
     correlation matrices, so the optimizer treats both alike.
     """
-    n = points.shape[0]
-    corr = _correlation(points, theta, nugget)
+    n = sq.shape[0]
+    corr = _correlation(sq, theta, nugget)
     factor = cho_factor(corr, lower=True)
     diag = np.diag(factor[0])
     if diag.min() < _MIN_DIAG_RATIO * diag.max():
@@ -122,7 +126,8 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
         raise ValueError(f"need at least d + 2 = {d + 2} training points, got {n}")
     if values.shape != (n,):
         raise ValueError("values must be a flat array matching the points")
-    diffs = _sq_dists(points, points).sum(axis=2)
+    sq = _sq_dists(points, points)  # shared by every likelihood evaluation
+    diffs = sq.sum(axis=2)
     np.fill_diagonal(diffs, np.inf)
     if diffs.min() < 1e-20:
         i, j = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
@@ -131,7 +136,7 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
     current = nugget
     while True:
         try:
-            return _fit_at_nugget(points, values, current)
+            return _fit_at_nugget(points, sq, values, current)
         except LinAlgError:
             if current >= _MAX_NUGGET:
                 raise FitError(
@@ -141,7 +146,7 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
             current = min(current * 10.0, _MAX_NUGGET)
 
 
-def _fit_at_nugget(points, values, nugget) -> KrigingModel:
+def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
     d = points.shape[1]
     grid = np.logspace(math.log10(_THETA_BOUNDS[0]), math.log10(_THETA_BOUNDS[1]),
                        _GRID_POINTS)
@@ -154,7 +159,7 @@ def _fit_at_nugget(points, values, nugget) -> KrigingModel:
         total += 1
         theta = np.array(combo)
         try:
-            ll, *_ = _concentrated_fit(points, values, theta, nugget)
+            ll, *_ = _concentrated_fit(sq, values, theta, nugget)
         except LinAlgError:
             failures += 1
             continue
@@ -177,7 +182,7 @@ def _fit_at_nugget(points, values, nugget) -> KrigingModel:
                 if trial[j] == log_theta[j]:
                     continue
                 try:
-                    ll, *_ = _concentrated_fit(points, values, 10.0 ** trial, nugget)
+                    ll, *_ = _concentrated_fit(sq, values, 10.0 ** trial, nugget)
                 except LinAlgError:
                     continue
                 if ll > best_ll:
@@ -187,23 +192,47 @@ def _fit_at_nugget(points, values, nugget) -> KrigingModel:
             step *= 0.5
 
     theta = 10.0 ** log_theta
-    _, beta, sigma2, factor = _concentrated_fit(points, values, theta, nugget)
+    _, beta, sigma2, factor = _concentrated_fit(sq, values, theta, nugget)
     alpha = cho_solve(factor, values - beta)
     return KrigingModel(train_points=points, train_values=values,
                         lengthscales=theta, process_variance=sigma2,
                         trend=beta, nugget=nugget, _alpha=alpha)
 
 
-def kriging_predict(model: KrigingModel, xi: np.ndarray, chunk: int = 20000) -> np.ndarray:
-    """Kriging mean prediction at standard points (n, d) or a single (d,) point."""
+def kriging_predict(model: KrigingModel, xi: np.ndarray, chunk: int = 2000) -> np.ndarray:
+    """Kriging mean prediction at standard points (n, d) or a single (d,) point.
+
+    The scaled squared distance expands as |sqrt(theta) a|^2 + |sqrt(theta) b|^2
+    - 2 (theta a).b; both sides carry two extra columns so that one GEMM per
+    chunk yields its negative, and the only (chunk, n_train) array is one
+    buffer reused in place for every chunk.
+    """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
     pts = np.atleast_2d(xi)
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
+    m = pts.shape[0]
+    train, theta = model.train_points, model.lengthscales
+    n, d = train.shape
+    # -|sqrt(theta) (a - b)|^2 = [2 theta a, -1, -|sqrt(theta) a|^2] . [b, |sqrt(theta) b|^2, 1]
+    right = np.empty((d + 2, n))
+    right[:d] = train.T
+    right[d] = train ** 2 @ theta
+    right[d + 1] = 1.0
+    rows = min(chunk, m)
+    left = np.empty((rows, d + 2))
+    left[:, d] = -1.0
+    buf = np.empty((rows, n))
+    out = np.empty(m)
+    for start in range(0, m, chunk):
         block = pts[start:start + chunk]
-        r = np.exp(-_sq_dists(block, model.train_points) @ model.lengthscales)
-        out[start:start + chunk] = model.trend + r @ model._alpha
+        k = block.shape[0]
+        np.multiply(block, 2.0 * theta, out=left[:k, :d])
+        np.matmul(block ** 2, -theta, out=left[:k, d + 1])
+        r = np.matmul(left[:k], right, out=buf[:k])
+        np.minimum(r, 0.0, out=r)  # rounding may leave a coincident pair just above 0
+        np.exp(r, out=r)
+        np.matmul(r, model._alpha, out=out[start:start + k])
+    out += model.trend
     return float(out[0]) if single else out
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from gustuq import StudyConfig, run_convergence, run_ground_truth
+from gustuq import (CountingOracle, RiskMeasures, StudyConfig, run_convergence,
+                    run_ground_truth)
 from gustuq.cli import main as cli_main
 from gustuq.harness import (build_oracle, export_pdf_data,
                             write_convergence_csv)
@@ -47,6 +50,49 @@ def test_config_from_dict_overrides():
     assert config.sim.time_step == 0.02
     assert config.seed == 7
     assert config.budgets == (10, 20)
+
+
+def test_config_from_dict_names_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown config keys \['budget', 'quantlie'\];"):
+        StudyConfig.from_dict({"budget": [8, 16], "seed": 1, "quantlie": 0.9})
+
+
+def test_config_from_dict_accepts_every_documented_key():
+    doc = {
+        "inputs": [["freestream_velocity", 50, 150], ["gust_length", 10, 50],
+                   ["peak_gust_velocity", 5, 15]],
+        "wing": {"modal_mass": 50.0},
+        "time_step": 0.01, "final_time": 2.0,
+        "newmark_beta": 0.25, "newmark_gamma": 0.5,
+        "air_density": 1.225, "gust_onset_time": 0.1,
+        "methods": ["nipc", "kriging", "mc", "udr", "gudr"],
+        "budgets": [8, 16, 32, 64, 128, 256],
+        "seed": 0, "quantile": 0.95,
+        "truth_train": 500, "truth_surrogate_samples": 20000,
+        "truth_check_samples": 2000, "surrogate_samples": 10000,
+        "bins": 100, "timing": False,
+    }
+    assert StudyConfig.from_dict(doc).truth_check_samples == 2000
+
+
+@pytest.mark.parametrize("budgets", [(0, 8), (-4, 8), (-1,)])
+def test_config_rejects_budgets_below_one(budgets):
+    with pytest.raises(ValueError, match="budgets"):
+        StudyConfig(budgets=budgets)
+
+
+@pytest.mark.parametrize("quantile", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_config_rejects_quantile_outside_unit_interval(quantile):
+    with pytest.raises(ValueError, match="quantile"):
+        StudyConfig(quantile=quantile)
+
+
+@pytest.mark.parametrize("key", ["truth_train", "truth_surrogate_samples",
+                                 "truth_check_samples", "surrogate_samples", "bins"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_config_rejects_non_positive_counts(key, value):
+    with pytest.raises(ValueError, match=key):
+        StudyConfig(**{key: value})
 
 
 def test_ground_truth_constant_model(constant_oracle):
@@ -96,6 +142,27 @@ def test_failure_is_flagged_not_silent(small_truth):
     nipc4 = [r for r in records if r.method == "nipc" and r.status == "failed"]
     assert len(nipc4) == 6  # budget 4 cannot support a degree-1 fit
     assert all(r.status == "ok" for r in records if r.method == "mc")
+
+
+def test_failed_cell_is_logged_with_its_cause(small_truth, caplog):
+    config = StudyConfig(methods=("nipc",), budgets=(4,), **SMALL)
+    with caplog.at_level(logging.WARNING, logger="gustuq.harness"):
+        run_convergence(config, small_truth)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1
+    assert "nipc" in messages[0] and "budget 4" in messages[0]
+    assert "cannot support a degree-1" in messages[0]
+
+
+@pytest.mark.parametrize("measure", ["mean", "std_dev", "p95"])
+def test_zero_truth_measure_is_named_before_the_sweep(small_truth, oracle, measure):
+    energy = dataclasses.replace(small_truth.risk[1], **{measure: 0.0})
+    truth = dataclasses.replace(small_truth, risk=(small_truth.risk[0], energy))
+    counting = CountingOracle(oracle)
+    config = StudyConfig(methods=("mc",), budgets=(8,), **SMALL)
+    with pytest.raises(ValueError, match=f"avg_strain_energy.*{measure}"):
+        run_convergence(config, truth, counting)
+    assert counting.total_cost == 0
 
 
 def test_pdf_density_normalized(small_truth):

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from gustuq import (InputSpace, KrigingModel, UncertainInput, kriging_fit,
                     kriging_predict, kriging_risk, latin_hypercube, to_standard)
+from gustuq.kriging import _MAX_NUGGET, _THETA_BOUNDS, _correlation, _sq_dists
 
 
 @pytest.fixture
@@ -159,3 +164,60 @@ def test_json_round_trip(space):
     query = std_lhs(15, space, 12)
     np.testing.assert_allclose(kriging_predict(model2, query),
                                kriging_predict(model, query), rtol=1e-12)
+
+
+@st.composite
+def designs(draw):
+    """Random design (n 5-60, d 1-3), theta anywhere in the search box, and an rng."""
+    n = draw(st.integers(5, 60))
+    d = draw(st.integers(1, 3))
+    lo, hi = (math.log10(b) for b in _THETA_BOUNDS)
+    log_theta = draw(st.lists(st.floats(lo, hi), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(-1.0, 1.0, (n, d)), 10.0 ** np.array(log_theta), rng
+
+
+def _nugget_ladder(start=1e-10):
+    # the escalation sequence kriging_fit walks when factorizations fail
+    ladder = [start]
+    while ladder[-1] < _MAX_NUGGET:
+        ladder.append(min(ladder[-1] * 10.0, _MAX_NUGGET))
+    return ladder
+
+
+@settings(max_examples=200, deadline=None)
+@given(design=designs(), chunk=st.integers(1, 64))
+def test_predict_matches_direct_kernel(design, chunk):
+    pts, theta, rng = design
+    n, d = pts.shape
+    model = KrigingModel(train_points=pts, train_values=rng.normal(size=n),
+                         lengthscales=theta, process_variance=1.0,
+                         trend=float(rng.normal()), nugget=1e-10,
+                         _alpha=rng.normal(size=n))
+    query = np.vstack([
+        pts,                                                 # the training points
+        rng.uniform(-1.0, 1.0, (10, d)),                     # inside the box
+        rng.uniform(-4.0, 4.0, (10, d)),                     # near field
+        rng.choice([-1.0, 1.0], (5, d)) * rng.uniform(1e3, 1e4, (5, d)),  # far field
+    ])
+    # direct sum_k theta_k (a_k - b_k)^2 kernel as the reference
+    dist = ((query[:, None, :] - pts[None, :, :]) ** 2 * theta).sum(axis=2)
+    r = np.exp(-dist)
+    want = model.trend + r @ model._alpha
+    # rounding scale of the predictor's dot product
+    scale = abs(model.trend) + r @ np.abs(model._alpha)
+    got = kriging_predict(model, query, chunk=chunk)
+    assert np.all(np.abs(got - want) <= 1e-10 * scale)
+    assert np.array_equal(got[-5:], np.full(5, model.trend))
+
+
+@settings(max_examples=100, deadline=None)
+@given(design=designs())
+def test_cached_correlation_equals_from_points_formula(design):
+    pts, theta, _ = design
+    n = pts.shape[0]
+    sq = _sq_dists(pts, pts)
+    for nugget in _nugget_ladder():
+        corr = _correlation(sq, theta, nugget)
+        assert np.array_equal(corr, np.exp(-_sq_dists(pts, pts) @ theta) + nugget * np.eye(n))
+    assert np.array_equal(sq, _sq_dists(pts, pts))

@@ -150,9 +150,10 @@ class ModelOracle(Protocol):
 class CountingOracle:
     """Wrapper that counts oracle work for budget accounting.
 
-    Each point evaluation counts once; each gradient call counts an
-    additional ``d`` entries' worth of work as one evaluation per
-    gradient (the convention used when reporting budgets).
+    Each point evaluated counts one unit, whether it comes through
+    ``evaluate`` or as one row of an ``evaluate_batch`` call; each
+    ``gradient`` call counts one unit more.  ``total_cost`` is the sum,
+    the convention used when reporting budgets.
     """
 
     def __init__(self, inner):

@@ -174,8 +174,7 @@ def _slice_points(space: InputSpace, nodes: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _assemble(space: InputSpace, rule: QuadratureRule, center_value: float,
-              node_values: list[np.ndarray],
-              node_derivatives: list[np.ndarray] | None) -> UDRApprox:
+              node_values: np.ndarray, node_derivatives: np.ndarray | None) -> UDRApprox:
     slices = []
     for i in range(space.dimension):
         derivs = None if node_derivatives is None else node_derivatives[i]
@@ -188,68 +187,60 @@ def _assemble(space: InputSpace, rule: QuadratureRule, center_value: float,
     return UDRApprox(space=space, center_value=center_value, slices=tuple(slices))
 
 
-def _build_scalar(f, space: InputSpace, k: int, df=None) -> UDRApprox:
+def _build(space: InputSpace, k: int, center, values, partial=None) -> tuple[UDRApprox, ...]:
+    """One additive approximation per output column.
+
+    ``center(x)`` gives the outputs at the midpoint, ``values(points)`` the
+    (d*k, m) outputs at every slice node of every dimension in one call,
+    and ``partial(x, i)``, if given, the physical partials along dimension i
+    at one node (GUDR).
+    """
     rule = gauss_legendre(k)
+    d = space.dimension
     half_width = 0.5 * (space.upper - space.lower)
-    center_value = float(f(space.midpoint))
-    node_values = []
-    node_derivatives = [] if df is not None else None
-    for i in range(space.dimension):
-        pts = _slice_points(space, rule.nodes, i)
-        node_values.append(np.array([float(f(x)) for x in pts]))
-        if df is not None:
-            # chain rule: the slice lives in the standard coordinate
-            node_derivatives.append(
-                np.array([float(df(x, i)) for x in pts]) * half_width[i])
-    return _assemble(space, rule, center_value, node_values, node_derivatives)
+    center_values = np.atleast_1d(np.asarray(center(space.midpoint), dtype=float))
+    pts = np.stack([_slice_points(space, rule.nodes, i) for i in range(d)])
+    node_values = np.asarray(values(pts.reshape(d * k, d)), dtype=float).reshape(d, k, -1)
+    node_derivatives = None
+    if partial is not None:
+        # chain rule: the slice lives in the standard coordinate
+        node_derivatives = (np.array([[partial(x, i) for x in pts[i]] for i in range(d)])
+                            .reshape(d, k, -1) * half_width[:, None, None])
+    return tuple(
+        _assemble(space, rule, float(center_values[j]), node_values[..., j],
+                  None if node_derivatives is None else node_derivatives[..., j])
+        for j in range(center_values.size))
+
+
+def _scalar_values(f):
+    return lambda points: np.array([[float(f(x))] for x in points])
 
 
 def udr_build_scalar(f, space: InputSpace, k: int) -> UDRApprox:
     """UDR of a scalar function f(physical point) using d*k + 1 evaluations."""
-    if k < 1:
-        raise ValueError("quadrature order must be at least 1")
-    return _build_scalar(f, space, k)
+    return _build(space, k, f, _scalar_values(f))[0]
 
 
 def gudr_build_scalar(f, df, space: InputSpace, k: int) -> UDRApprox:
     """GUDR of a scalar function; df(x, i) is the physical partial along dimension i."""
-    if k < 1:
-        raise ValueError("quadrature order must be at least 1")
-    return _build_scalar(f, space, k, df=df)
-
-
-def _build_from_oracle(oracle, space: InputSpace, k: int,
-                       with_gradients: bool) -> tuple[UDRApprox, UDRApprox]:
-    rule = gauss_legendre(k)
-    half_width = 0.5 * (space.upper - space.lower)
-    center = oracle.evaluate(space.midpoint).as_array()
-    node_values = [[] for _ in range(2)]
-    node_derivatives = [[] for _ in range(2)] if with_gradients else None
-    for i in range(space.dimension):
-        pts = _slice_points(space, rule.nodes, i)
-        recs = np.array([oracle.evaluate(x).as_array() for x in pts])
-        for j in range(2):
-            node_values[j].append(recs[:, j])
-        if with_gradients:
-            grads = np.array([np.asarray(oracle.gradient(x)) for x in pts])
-            for j in range(2):
-                node_derivatives[j].append(grads[:, j, i] * half_width[i])
-    return tuple(
-        _assemble(space, rule, float(center[j]), node_values[j],
-                  None if node_derivatives is None else node_derivatives[j])
-        for j in range(2))
+    return _build(space, k, f, _scalar_values(f), lambda x, i: float(df(x, i)))[0]
 
 
 def udr_build(oracle, space: InputSpace, k: int) -> tuple[UDRApprox, UDRApprox]:
-    """UDR of both benchmark QoIs from exactly d*k + 1 oracle evaluations."""
-    return _build_from_oracle(oracle, space, k, with_gradients=False)
+    """UDR of both benchmark QoIs from exactly d*k + 1 oracle evaluations.
+
+    The midpoint is one ``evaluate`` call; the d*k slice nodes are one
+    ``evaluate_batch`` call.
+    """
+    return _build(space, k, lambda x: oracle.evaluate(x).as_array(), oracle.evaluate_batch)
 
 
 def gudr_build(oracle, space: InputSpace, k: int) -> tuple[UDRApprox, UDRApprox]:
-    """GUDR of both QoIs; adds d*k gradient evaluations at the slice nodes."""
+    """GUDR of both QoIs; adds one ``gradient`` call at each of the d*k slice nodes."""
     if not hasattr(oracle, "gradient"):
         raise TypeError("GUDR requires an oracle with gradient capability")
-    return _build_from_oracle(oracle, space, k, with_gradients=True)
+    return _build(space, k, lambda x: oracle.evaluate(x).as_array(), oracle.evaluate_batch,
+                  lambda x, i: np.asarray(oracle.gradient(x))[:, i])
 
 
 def dr_moments(approx: UDRApprox) -> tuple[float, float]:

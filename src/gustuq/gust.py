@@ -46,12 +46,12 @@ class GustProfile:
     onset_time: float = 0.1  # s
 
     def __post_init__(self):
-        if self.peak_velocity < 0:
-            raise ValueError("peak gust velocity cannot be negative")
-        if self.gust_length <= 0:
-            raise ValueError("gust length must be positive")
-        if self.onset_time < 0:
-            raise ValueError("gust onset time cannot be negative")
+        if not (math.isfinite(self.peak_velocity) and self.peak_velocity >= 0):
+            raise ValueError("peak gust velocity must be finite and non-negative")
+        if not (math.isfinite(self.gust_length) and self.gust_length > 0):
+            raise ValueError("gust length must be finite and positive")
+        if not (math.isfinite(self.onset_time) and self.onset_time >= 0):
+            raise ValueError("gust onset time must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,10 @@ class FlightCondition:
     air_density: float = 1.225  # kg/m^3
 
     def __post_init__(self):
-        if self.freestream_velocity <= 0:
-            raise ValueError("freestream velocity must be positive")
-        if self.air_density <= 0:
-            raise ValueError("air density must be positive")
+        if not (math.isfinite(self.freestream_velocity) and self.freestream_velocity > 0):
+            raise ValueError("freestream velocity must be finite and positive")
+        if not (math.isfinite(self.air_density) and self.air_density > 0):
+            raise ValueError("air density must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -302,12 +302,36 @@ def gradient(gust: GustProfile, flight: FlightCondition, wing: WingModel,
 # oracle over the benchmark input space (V_inf, l_g, V_p)
 
 
+# Oracle input columns: each value finite, V_inf > 0, l_g > 0, V_p >= 0.
+_ORACLE_INPUTS = ("freestream_velocity", "gust_length", "peak_gust_velocity")
+
+
+def _check_oracle_points(points: np.ndarray, caller: str) -> None:
+    """Raise a ValueError naming the first row, and its input, that the oracle cannot take."""
+    if points.ndim != 2 or points.shape[1] != len(_ORACLE_INPUTS):
+        raise ValueError(f"{caller}: points must have {len(_ORACLE_INPUTS)} columns "
+                         f"(V_inf, l_g, V_p), got shape {points.shape}")
+    in_range = np.column_stack([points[:, 0] > 0, points[:, 1] > 0, points[:, 2] >= 0])
+    if in_range.all() and np.isfinite(points).all():
+        return
+    valid = in_range & np.isfinite(points)
+    row = int(np.argmin(valid.all(axis=1)))
+    col = int(np.argmin(valid[row]))
+    raise ValueError(f"{caller}: row {row} has {_ORACLE_INPUTS[col]} = {float(points[row, col])!r}; "
+                     f"it must be finite and {'non-negative' if col == 2 else 'positive'}")
+
+
 class GustOracle:
     """Model oracle mapping (V_inf, l_g, V_p) to the two benchmark QoIs.
 
     Pure: results depend only on the input point and the frozen model
-    constants.  Batch evaluation integrates all points in lockstep and is
-    bit-identical to one-at-a-time evaluation.
+    constants.  Batch evaluation integrates all points in lockstep.  Its
+    displacement is bit-identical to one-at-a-time evaluation; its energy
+    is a time mean whose summation order depends on the batch width, so it
+    agrees with one-at-a-time evaluation to about 10 ulp.  Points must be
+    finite with V_inf > 0, l_g > 0 and V_p >= 0; ``evaluate``,
+    ``evaluate_batch`` and ``gradient`` raise a ValueError naming the first
+    row that is not.
     """
 
     def __init__(self, wing: WingModel | None = None,
@@ -334,11 +358,14 @@ class GustOracle:
         return simulate(gust, flight, self.wing, self.config)
 
     def evaluate(self, x) -> QoIRecord:
-        out = self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0]
+        point = np.asarray(x, dtype=float)[None, :]
+        _check_oracle_points(point, "evaluate")
+        out = self.evaluate_batch(point)[0]
         return QoIRecord(max_tip_displacement=float(out[0]), avg_strain_energy=float(out[1]))
 
     def evaluate_batch(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        _check_oracle_points(points, "evaluate_batch")
         out = np.empty((points.shape[0], 2))
         for start in range(0, points.shape[0], self.batch_chunk):
             chunk = points[start:start + self.batch_chunk]
@@ -368,5 +395,6 @@ class GustOracle:
         return np.column_stack([w_tip.max(axis=0), (0.5 * k * q * q).mean(axis=0)])
 
     def gradient(self, x) -> np.ndarray:
+        _check_oracle_points(np.asarray(x, dtype=float)[None, :], "gradient")
         gust, flight = self._unpack(x)
         return gradient(gust, flight, self.wing, self.config)

@@ -6,7 +6,7 @@ import pytest
 from gustuq import (CountingOracle, InputSpace, UncertainInput, dr_moments,
                     dr_quantile, gauss_legendre, gudr_build, gudr_build_scalar,
                     udr_build, udr_build_scalar)
-from gustuq.dimred import UDRApprox
+from gustuq.dimred import UDRApprox, _assemble
 
 CUBE1 = InputSpace((UncertainInput("x", -1, 1),))
 CUBE2 = InputSpace((UncertainInput("a", -1, 1), UncertainInput("b", -1, 1)))
@@ -102,6 +102,101 @@ def test_linear_function_udr_equals_gudr():
     gudr = gudr_build_scalar(f, df, CUBE1, 2)
     xi = np.linspace(-1, 1, 11)[:, None]
     np.testing.assert_allclose(udr(xi), gudr(xi), atol=1e-12)
+
+
+class RecordingOracle:
+    """Passes calls through to an inner oracle and records their shape."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def evaluate(self, x):
+        self.calls.append(("evaluate", np.array(x, dtype=float)))
+        return self.inner.evaluate(x)
+
+    def evaluate_batch(self, points):
+        self.calls.append(("evaluate_batch", np.array(points, dtype=float)))
+        return self.inner.evaluate_batch(points)
+
+    def gradient(self, x):
+        self.calls.append(("gradient", np.array(x, dtype=float)))
+        return self.inner.gradient(x)
+
+    def points(self, kind):
+        return [x for name, x in self.calls if name == kind]
+
+
+def _all_slice_nodes(space, k):
+    """Every slice node of every dimension, dimension-major, in physical units."""
+    nodes = gauss_legendre(k).nodes
+    mu, half = space.midpoint, 0.5 * (space.upper - space.lower)
+    pts = []
+    for i in range(space.dimension):
+        for t in nodes:
+            x = mu.copy()
+            x[i] += t * half[i]
+            pts.append(x)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_udr_build_one_center_call_and_one_batch(constant_oracle, k):
+    space = InputSpace(tuple(UncertainInput(n, 0, 2 + i) for i, n in enumerate("abc")))
+    recorder = RecordingOracle(constant_oracle)
+    udr_build(recorder, space, k)
+    assert [name for name, _ in recorder.calls] == ["evaluate", "evaluate_batch"]
+    np.testing.assert_array_equal(recorder.points("evaluate")[0], space.midpoint)
+    np.testing.assert_array_equal(recorder.points("evaluate_batch")[0],
+                                  _all_slice_nodes(space, k))
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_gudr_build_adds_one_gradient_per_node(constant_oracle, k):
+    recorder = RecordingOracle(constant_oracle)
+    gudr_build(recorder, CUBE3, k)
+    names = [name for name, _ in recorder.calls]
+    assert names == ["evaluate", "evaluate_batch"] + ["gradient"] * (3 * k)
+    assert recorder.points("evaluate_batch")[0].shape == (3 * k, 3)
+    np.testing.assert_array_equal(np.array(recorder.points("gradient")),
+                                  _all_slice_nodes(CUBE3, k))
+
+
+def _pointwise_reference(oracle, space, k, with_gradients):
+    """Both QoIs' approximations from node data taken one oracle call per node."""
+    d = space.dimension
+    half = 0.5 * (space.upper - space.lower)
+    pts = _all_slice_nodes(space, k).reshape(d, k, d)
+    center = oracle.evaluate(space.midpoint).as_array()
+    values = np.array([[oracle.evaluate(x).as_array() for x in row] for row in pts])
+    derivs = None
+    if with_gradients:
+        derivs = np.array([[oracle.gradient(x)[:, i] * half[i] for x in pts[i]]
+                           for i in range(d)])
+    return [_assemble(space, gauss_legendre(k), float(center[j]), values[..., j],
+                      None if derivs is None else derivs[..., j])
+            for j in range(2)]
+
+
+@pytest.mark.parametrize("with_gradients", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_batched_build_matches_pointwise_reference(oracle, space, k, with_gradients):
+    build = gudr_build if with_gradients else udr_build
+    batched = build(oracle, space, k)
+    reference = _pointwise_reference(oracle, space, k, with_gradients)
+    disp, energy = zip(batched, reference)
+    for got, want in (disp, energy):
+        assert got.center_value == want.center_value
+        for gs, ws in zip(got.slices, want.slices):
+            if with_gradients:
+                np.testing.assert_array_equal(gs.node_derivatives, ws.node_derivatives)
+    for gs, ws in zip(disp[0].slices, disp[1].slices):
+        np.testing.assert_array_equal(gs.node_values, ws.node_values)
+    for gs, ws in zip(energy[0].slices, energy[1].slices):
+        ulps = np.abs(gs.node_values - ws.node_values) / np.spacing(np.abs(ws.node_values))
+        assert ulps.max() <= 16
+    for got, want in zip(batched, reference):
+        np.testing.assert_allclose(dr_moments(got), dr_moments(want), rtol=1e-12, atol=0)
 
 
 def test_gudr_requires_gradient_capability():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gustuq import (FlightCondition, GustOracle, GustProfile, QoIRecord,
@@ -236,3 +238,93 @@ def test_gradient_matches_finite_differences(oracle, space):
         for row in range(2):
             err = np.linalg.norm(grad[row] - fd[row]) / np.linalg.norm(fd[row])
             assert err < 1e-6
+
+
+# -- input validation ----------------------------------------------------------
+
+# (point, the input it breaks); each breaks exactly one input
+BAD_POINTS = [
+    ([-50.0, 6.0, 10.0], "freestream_velocity"),
+    ([0.0, 6.0, 10.0], "freestream_velocity"),
+    ([np.nan, 6.0, 10.0], "freestream_velocity"),
+    ([np.inf, 6.0, 10.0], "freestream_velocity"),
+    ([50.0, -6.0, 10.0], "gust_length"),
+    ([50.0, 0.0, 10.0], "gust_length"),
+    ([50.0, np.inf, 10.0], "gust_length"),
+    ([50.0, 6.0, -10.0], "peak_gust_velocity"),
+    ([50.0, 6.0, np.nan], "peak_gust_velocity"),
+    ([50.0, 6.0, -np.inf], "peak_gust_velocity"),
+]
+
+
+@pytest.mark.parametrize("point, name", BAD_POINTS)
+def test_evaluate_batch_names_bad_input_and_row(oracle, point, name):
+    points = np.array([NOMINAL, NOMINAL, point, point])
+    with pytest.raises(ValueError, match=rf"row 2 .*{name}"):
+        oracle.evaluate_batch(points)
+
+
+@pytest.mark.parametrize("point, name", BAD_POINTS)
+def test_evaluate_rejects_bad_input(oracle, point, name):
+    with pytest.raises(ValueError, match=rf"^evaluate: row 0 .*{name}"):
+        oracle.evaluate(np.array(point))
+
+
+@pytest.mark.parametrize("point, name", BAD_POINTS)
+def test_gradient_names_bad_input(oracle, point, name):
+    with pytest.raises(ValueError, match=rf"row 0 .*{name}"):
+        oracle.gradient(np.array(point))
+
+
+def test_evaluate_batch_rejects_wrong_shape(oracle):
+    with pytest.raises(ValueError, match="3 columns"):
+        oracle.evaluate_batch(np.ones((4, 2)))
+
+
+def test_zero_peak_velocity_is_valid(oracle):
+    point = np.array([50.0, 6.0, 0.0])
+    np.testing.assert_array_equal(oracle.evaluate_batch(point[None]), [[0.0, 0.0]])
+    grad = oracle.gradient(point)
+    assert np.isfinite(grad).all()
+    np.testing.assert_array_equal(grad[1], 0.0)  # energy is quadratic in V_p
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GustProfile(np.nan, 6.0),
+    lambda: GustProfile(np.inf, 6.0),
+    lambda: GustProfile(10.0, np.nan),
+    lambda: GustProfile(10.0, np.inf),
+    lambda: GustProfile(10.0, 6.0, onset_time=np.nan),
+    lambda: FlightCondition(np.nan),
+    lambda: FlightCondition(np.inf),
+    lambda: FlightCondition(50.0, air_density=np.nan),
+])
+def test_gust_and_flight_reject_non_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+# -- oracle properties over the input box --------------------------------------
+
+box_points = st.tuples(st.floats(40.0, 60.0), st.floats(4.0, 8.0),
+                       st.floats(5.0, 15.0)).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=box_points, lam=st.floats(0.05, 4.0))
+def test_scaling_peak_velocity_scales_outputs(oracle, x, lam):
+    scaled = x.copy()
+    scaled[2] *= lam
+    base, out = oracle.evaluate_batch(np.array([x, scaled]))
+    assert out[0] == pytest.approx(lam * base[0], rel=1e-12, abs=0.0)
+    assert out[1] == pytest.approx(lam**2 * base[1], rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(box_points, min_size=1, max_size=12))
+def test_energy_non_negative_and_batch_displacement_bit_identical(oracle, points):
+    points = np.array(points)
+    batch = oracle.evaluate_batch(points)
+    assert (batch[:, 1] >= 0).all()
+    single = np.array([oracle.evaluate(x).max_tip_displacement for x in points])
+    np.testing.assert_array_equal(batch[:, 0], single)

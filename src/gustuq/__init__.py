@@ -6,7 +6,7 @@ variant) applied to a reduced-order aeroelastic gust-response model,
 plus a harness for ground truth and convergence studies.
 """
 
-from .core import (CountingOracle, InputSpace, ModelOracle, QoIRecord,
+from .core import (CountingOracle, InputSpace, QoIRecord,
                    RiskMeasures, UncertainInput, default_input_space,
                    from_standard, latin_hypercube, nearest_rank_quantile,
                    risk_from_samples, to_standard)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "InputSpace",
     "QoIRecord",
     "RiskMeasures",
-    "ModelOracle",
     "CountingOracle",
     "default_input_space",
     "to_standard",
@@ -125,26 +124,6 @@ class RiskMeasures:
 
     def as_dict(self) -> dict:
         return {"mean": self.mean, "std_dev": self.std_dev, "p95": self.p95}
-
-
-@runtime_checkable
-class ModelOracle(Protocol):
-    """Evaluation contract shared by all estimators.
-
-    ``evaluate`` must be pure: the same point yields bit-identical
-    outputs.  ``gradient`` is an optional capability; implementations
-    without it should raise ``NotImplementedError``.  Gradient rows are
-    (max_tip_displacement, avg_strain_energy); columns follow the input
-    space order.
-    """
-
-    def evaluate(self, x: np.ndarray) -> QoIRecord: ...
-
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate many points; returns an (n, 2) array in QOI_NAMES order."""
-        ...
-
-    def gradient(self, x: np.ndarray) -> np.ndarray: ...
 
 
 class CountingOracle:

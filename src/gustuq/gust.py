@@ -28,7 +28,6 @@ __all__ = [
     "SimulationConfig",
     "TimeHistory",
     "gust_velocity",
-    "gust_velocity_gradients",
     "newmark_response",
     "simulate",
     "qois",
@@ -131,6 +130,18 @@ class TimeHistory:
 # gust profile
 
 
+def _gust_shape(t, onset_time, freestream_velocity, gust_length):
+    """Phase, window mask and unit profile of the one-minus-cosine gust.
+
+    The phase is 2 pi (t - T0) V_inf / l_g, the window is
+    (T0, T0 + l_g/V_inf), and the unit profile is 1 - cos(phase) inside
+    the window and 0 outside.  The arguments broadcast together.
+    """
+    phase = 2.0 * np.pi * (t - onset_time) * freestream_velocity / gust_length
+    inside = (t > onset_time) & (t < onset_time + gust_length / freestream_velocity)
+    return phase, inside, np.where(inside, 1.0 - np.cos(phase), 0.0)
+
+
 def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
     """One-minus-cosine gust velocity at time(s) t; zero outside the window.
 
@@ -138,34 +149,9 @@ def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
     1/2 V_p (1 - cos(2 pi (t - T0) V_inf / l_g)), peaking at exactly V_p
     halfway through.
     """
-    t = np.asarray(t, dtype=float)
-    t0 = profile.onset_time
-    duration = profile.gust_length / freestream_velocity
-    phase = 2.0 * np.pi * (t - t0) / duration
-    v = 0.5 * profile.peak_velocity * (1.0 - np.cos(phase))
-    inside = (t > t0) & (t < t0 + duration)
-    return np.where(inside, v, 0.0)
-
-
-def gust_velocity_gradients(t, profile: GustProfile, freestream_velocity: float):
-    """Partial derivatives of the gust velocity wrt (V_inf, l_g, V_p).
-
-    Returns three arrays shaped like t. The window edges carry zero
-    velocity and zero phase derivative, so the parameter derivatives are
-    continuous there.
-    """
-    t = np.asarray(t, dtype=float)
-    t0 = profile.onset_time
-    vinf = freestream_velocity
-    lg = profile.gust_length
-    vp = profile.peak_velocity
-    phase = 2.0 * np.pi * (t - t0) * vinf / lg
-    inside = (t > t0) & (t < t0 + lg / vinf)
-    sin_term = 0.5 * vp * np.sin(phase)
-    d_vinf = np.where(inside, sin_term * 2.0 * np.pi * (t - t0) / lg, 0.0)
-    d_lg = np.where(inside, -sin_term * 2.0 * np.pi * (t - t0) * vinf / lg**2, 0.0)
-    d_vp = np.where(inside, 0.5 * (1.0 - np.cos(phase)), 0.0)
-    return d_vinf, d_lg, d_vp
+    _, _, shape = _gust_shape(np.asarray(t, dtype=float), profile.onset_time,
+                              freestream_velocity, profile.gust_length)
+    return 0.5 * profile.peak_velocity * shape
 
 
 # ---------------------------------------------------------------------------
@@ -221,36 +207,18 @@ def _time_grid(config: SimulationConfig) -> np.ndarray:
     return np.arange(n_steps + 1) * config.time_step
 
 
-def _check_window(gust: GustProfile, flight: FlightCondition, config: SimulationConfig):
-    window_end = gust.onset_time + gust.gust_length / flight.freestream_velocity
-    if config.final_time < window_end:
-        raise ValueError(
-            f"final time {config.final_time} s does not cover the gust window "
-            f"ending at {window_end:.4g} s"
-        )
-
-
-def _force_scale(flight: FlightCondition, wing: WingModel) -> float:
-    return (0.5 * flight.air_density * flight.freestream_velocity
-            * wing.reference_area * wing.lift_curve_slope)
+def _oracle_and_point(gust: GustProfile, flight: FlightCondition, wing: WingModel,
+                      config: SimulationConfig):
+    oracle = GustOracle(wing=wing, config=config, air_density=flight.air_density,
+                        gust_onset_time=gust.onset_time)
+    return oracle, [flight.freestream_velocity, gust.gust_length, gust.peak_velocity]
 
 
 def simulate(gust: GustProfile, flight: FlightCondition, wing: WingModel,
              config: SimulationConfig) -> TimeHistory:
     """Integrate the forced oscillator and return the full response history."""
-    _check_window(gust, flight, config)
-    times = _time_grid(config)
-    forcing = _force_scale(flight, wing) * gust_velocity(times, gust, flight.freestream_velocity)
-    q, v = newmark_response(wing.modal_mass, wing.damping, wing.stiffness,
-                            forcing, config.time_step,
-                            config.newmark_beta, config.newmark_gamma)
-    return TimeHistory(
-        times=times,
-        modal_coordinate=q,
-        modal_velocity=v,
-        tip_displacement=wing.mode_tip_value * q,
-        strain_energy=0.5 * wing.stiffness * q * q,
-    )
+    oracle, x = _oracle_and_point(gust, flight, wing, config)
+    return oracle.simulate(x)
 
 
 def qois(history: TimeHistory) -> QoIRecord:
@@ -267,35 +235,10 @@ def gradient(gust: GustProfile, flight: FlightCondition, wing: WingModel,
              config: SimulationConfig) -> np.ndarray:
     """2x3 gradient of (max tip displacement, avg strain energy) wrt (V_inf, l_g, V_p).
 
-    Forward sensitivities satisfy the same oscillator equation with the
-    forcing replaced by its parameter derivative, so they are
-    co-integrated with the identical Newmark recursion.  The max-QoI
-    derivative freezes the primal argmax time step (earliest on ties).
+    See ``GustOracle.gradient``.
     """
-    _check_window(gust, flight, config)
-    times = _time_grid(config)
-    vinf = flight.freestream_velocity
-    scale = _force_scale(flight, wing)
-    vg = gust_velocity(times, gust, vinf)
-    d_vinf, d_lg, d_vp = gust_velocity_gradients(times, gust, vinf)
-
-    # Q = scale(V_inf) * Vg; the V_inf column picks up the prefactor too.
-    forcing = np.column_stack([
-        scale * d_vinf + (scale / vinf) * vg,
-        scale * d_lg,
-        scale * d_vp,
-        scale * vg,  # primal in the same batch for a shared argmax
-    ])
-    q, _ = newmark_response(wing.modal_mass, wing.damping, wing.stiffness,
-                            forcing, config.time_step,
-                            config.newmark_beta, config.newmark_gamma)
-    s, q_primal = q[:, :3], q[:, 3]
-    k = wing.stiffness
-    i_star = int(np.argmax(q_primal))  # argmax of w_tip; phi_tip > 0
-
-    grad_max = wing.mode_tip_value * s[i_star]
-    grad_energy = (k * q_primal[:, None] * s).mean(axis=0)
-    return np.vstack([grad_max, grad_energy])
+    oracle, x = _oracle_and_point(gust, flight, wing, config)
+    return oracle.gradient(x)
 
 
 # ---------------------------------------------------------------------------
@@ -305,96 +248,143 @@ def gradient(gust: GustProfile, flight: FlightCondition, wing: WingModel,
 # Oracle input columns: each value finite, V_inf > 0, l_g > 0, V_p >= 0.
 _ORACLE_INPUTS = ("freestream_velocity", "gust_length", "peak_gust_velocity")
 
-
-def _check_oracle_points(points: np.ndarray, caller: str) -> None:
-    """Raise a ValueError naming the first row, and its input, that the oracle cannot take."""
-    if points.ndim != 2 or points.shape[1] != len(_ORACLE_INPUTS):
-        raise ValueError(f"{caller}: points must have {len(_ORACLE_INPUTS)} columns "
-                         f"(V_inf, l_g, V_p), got shape {points.shape}")
-    in_range = np.column_stack([points[:, 0] > 0, points[:, 1] > 0, points[:, 2] >= 0])
-    if in_range.all() and np.isfinite(points).all():
-        return
-    valid = in_range & np.isfinite(points)
-    row = int(np.argmin(valid.all(axis=1)))
-    col = int(np.argmin(valid[row]))
-    raise ValueError(f"{caller}: row {row} has {_ORACLE_INPUTS[col]} = {float(points[row, col])!r}; "
-                     f"it must be finite and {'non-negative' if col == 2 else 'positive'}")
+# Points integrated in lockstep per Newmark call; bounds the (time x point)
+# temporaries of large batches.
+_BATCH_CHUNK = 20000
 
 
 class GustOracle:
     """Model oracle mapping (V_inf, l_g, V_p) to the two benchmark QoIs.
 
     Pure: results depend only on the input point and the frozen model
-    constants.  Batch evaluation integrates all points in lockstep.  Its
-    displacement is bit-identical to one-at-a-time evaluation; its energy
-    is a time mean whose summation order depends on the batch width, so it
-    agrees with one-at-a-time evaluation to about 10 ulp.  Points must be
-    finite with V_inf > 0, l_g > 0 and V_p >= 0; ``evaluate``,
-    ``evaluate_batch`` and ``gradient`` raise a ValueError naming the first
-    row that is not.
+    constants.  ``simulate``, ``evaluate``, ``evaluate_batch`` and
+    ``gradient`` share one forcing builder and one Newmark integration, so
+    the QoIs of a ``simulate`` history are bit-identical to ``evaluate``.
+    Batch evaluation integrates all points in lockstep.  Its displacement
+    is bit-identical to one-at-a-time evaluation; its energy is a time mean
+    whose summation order depends on the batch width, so it agrees with
+    one-at-a-time evaluation to about 10 ulp.  Points must be finite with
+    V_inf > 0, l_g > 0 and V_p >= 0, and the final time must cover their
+    gust windows; each entry point raises a ValueError naming the first
+    row that does not.
     """
 
     def __init__(self, wing: WingModel | None = None,
                  config: SimulationConfig | None = None,
                  air_density: float = 1.225,
                  gust_onset_time: float = 0.1,
-                 space: InputSpace | None = None,
-                 batch_chunk: int = 20000):
+                 space: InputSpace | None = None):
+        if not (math.isfinite(air_density) and air_density > 0):
+            raise ValueError("air density must be finite and positive")
+        if not (math.isfinite(gust_onset_time) and gust_onset_time >= 0):
+            raise ValueError("gust onset time must be finite and non-negative")
         self.wing = wing or WingModel()
         self.config = config or SimulationConfig()
         self.air_density = air_density
         self.gust_onset_time = gust_onset_time
         self.space = space or default_input_space()
-        self.batch_chunk = batch_chunk
 
-    def _unpack(self, x):
-        vinf, lg, vp = (float(v) for v in np.asarray(x, dtype=float))
-        gust = GustProfile(peak_velocity=vp, gust_length=lg, onset_time=self.gust_onset_time)
-        flight = FlightCondition(freestream_velocity=vinf, air_density=self.air_density)
-        return gust, flight
+    def _check_oracle_points(self, points: np.ndarray, caller: str) -> np.ndarray:
+        """Return ``points``, or raise a ValueError naming the first row the oracle cannot take."""
+        if points.ndim != 2 or points.shape[1] != len(_ORACLE_INPUTS):
+            raise ValueError(f"{caller}: points must have {len(_ORACLE_INPUTS)} columns "
+                             f"(V_inf, l_g, V_p), got shape {points.shape}")
+        valid = np.column_stack([points[:, 0] > 0, points[:, 1] > 0, points[:, 2] >= 0])
+        valid &= np.isfinite(points)
+        if not valid.all():
+            row = int(np.argmin(valid.all(axis=1)))
+            col = int(np.argmin(valid[row]))
+            raise ValueError(f"{caller}: row {row} has {_ORACLE_INPUTS[col]} = "
+                             f"{float(points[row, col])!r}; it must be finite and "
+                             f"{'non-negative' if col == 2 else 'positive'}")
+        window_end = self.gust_onset_time + points[:, 1] / points[:, 0]
+        grid_end = _time_grid(self.config)[-1]
+        late = grid_end < window_end
+        if late.any():
+            row = int(np.argmax(late))
+            raise ValueError(f"{caller}: row {row} (V_inf, l_g, V_p) = {points[row].tolist()} "
+                             f"has its gust window ending at {window_end[row]:.6g} s; "
+                             f"the time grid ends at {grid_end:.6g} s "
+                             f"(final time {self.config.final_time} s)")
+        return points
+
+    def _forcing(self, points: np.ndarray, sensitivities: bool) -> np.ndarray:
+        """Lift forcing Q(t) = 1/2 rho V_inf S C_La Vg(t) for each row of ``points``.
+
+        Returns (T, n) for n points; with ``sensitivities``, (T, n, 4): Q
+        followed by its partial derivatives wrt V_inf, l_g and V_p.  The
+        window edges carry zero velocity and zero phase derivative, so the
+        partials are continuous there.
+        """
+        t = _time_grid(self.config)[:, None]
+        t0 = self.gust_onset_time
+        vinf, lg, vp = points[:, 0], points[:, 1], points[:, 2]
+        phase, inside, shape = _gust_shape(t, t0, vinf, lg)
+        scale = (0.5 * self.air_density * vinf
+                 * self.wing.reference_area * self.wing.lift_curve_slope)
+        vg = 0.5 * vp * shape
+        if not sensitivities:
+            return scale * vg
+        sin_term = 0.5 * vp * np.sin(phase)
+        d_vinf = np.where(inside, sin_term * 2.0 * np.pi * (t - t0) / lg, 0.0)
+        d_lg = np.where(inside, -sin_term * 2.0 * np.pi * (t - t0) * vinf / lg**2, 0.0)
+        # Q = scale(V_inf) * Vg; the V_inf column picks up the prefactor too.
+        return np.stack([scale * vg, scale * d_vinf + (scale / vinf) * vg,
+                         scale * d_lg, scale * (0.5 * shape)], axis=-1)
+
+    def _response(self, points: np.ndarray, sensitivities: bool = False):
+        """(q, qdot) of the forced oscillator, shaped like ``_forcing``'s result."""
+        forcing = self._forcing(points, sensitivities)
+        q, v = newmark_response(self.wing.modal_mass, self.wing.damping, self.wing.stiffness,
+                                forcing.reshape(forcing.shape[0], -1), self.config.time_step,
+                                self.config.newmark_beta, self.config.newmark_gamma)
+        return q.reshape(forcing.shape), v.reshape(forcing.shape)
 
     def simulate(self, x) -> TimeHistory:
-        gust, flight = self._unpack(x)
-        return simulate(gust, flight, self.wing, self.config)
+        """Integrate the forced oscillator at one point and return the full response history."""
+        point = self._check_oracle_points(np.asarray(x, dtype=float)[None, :], "simulate")
+        q, v = self._response(point)
+        q, v = q[:, 0], v[:, 0]
+        return TimeHistory(
+            times=_time_grid(self.config),
+            modal_coordinate=q,
+            modal_velocity=v,
+            tip_displacement=self.wing.mode_tip_value * q,
+            strain_energy=0.5 * self.wing.stiffness * q * q,
+        )
 
     def evaluate(self, x) -> QoIRecord:
-        point = np.asarray(x, dtype=float)[None, :]
-        _check_oracle_points(point, "evaluate")
+        point = self._check_oracle_points(np.asarray(x, dtype=float)[None, :], "evaluate")
         out = self.evaluate_batch(point)[0]
         return QoIRecord(max_tip_displacement=float(out[0]), avg_strain_energy=float(out[1]))
 
     def evaluate_batch(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        _check_oracle_points(points, "evaluate_batch")
+        points = self._check_oracle_points(np.atleast_2d(np.asarray(points, dtype=float)),
+                                           "evaluate_batch")
         out = np.empty((points.shape[0], 2))
-        for start in range(0, points.shape[0], self.batch_chunk):
-            chunk = points[start:start + self.batch_chunk]
-            out[start:start + self.batch_chunk] = self._evaluate_chunk(chunk)
+        for start in range(0, points.shape[0], _BATCH_CHUNK):
+            out[start:start + _BATCH_CHUNK] = self._evaluate_chunk(
+                points[start:start + _BATCH_CHUNK])
         return out
 
     def _evaluate_chunk(self, points) -> np.ndarray:
-        times = _time_grid(self.config)
-        t0 = self.gust_onset_time
-        vinf, lg, vp = points[:, 0], points[:, 1], points[:, 2]
-        window_end = t0 + lg / vinf
-        if np.any(self.config.final_time < window_end):
-            raise ValueError("final time does not cover the gust window for some points")
-
-        tt = times[:, None]
-        phase = 2.0 * np.pi * (tt - t0) * vinf / lg
-        vg = np.where((tt > t0) & (tt < window_end),
-                      0.5 * vp * (1.0 - np.cos(phase)), 0.0)
-        scale = (0.5 * self.air_density * vinf
-                 * self.wing.reference_area * self.wing.lift_curve_slope)
-        q, _ = newmark_response(self.wing.modal_mass, self.wing.damping,
-                                self.wing.stiffness, scale * vg,
-                                self.config.time_step,
-                                self.config.newmark_beta, self.config.newmark_gamma)
+        q, _ = self._response(points)
         k = self.wing.stiffness
         w_tip = self.wing.mode_tip_value * q
         return np.column_stack([w_tip.max(axis=0), (0.5 * k * q * q).mean(axis=0)])
 
     def gradient(self, x) -> np.ndarray:
-        _check_oracle_points(np.asarray(x, dtype=float)[None, :], "gradient")
-        gust, flight = self._unpack(x)
-        return gradient(gust, flight, self.wing, self.config)
+        """2x3 gradient of (max tip displacement, avg strain energy) wrt (V_inf, l_g, V_p).
+
+        Forward sensitivities satisfy the same oscillator equation with the
+        forcing replaced by its parameter derivative, so they are
+        co-integrated with the identical Newmark recursion.  The max-QoI
+        derivative freezes the primal argmax time step (earliest on ties).
+        """
+        point = self._check_oracle_points(np.asarray(x, dtype=float)[None, :], "gradient")
+        q, _ = self._response(point, sensitivities=True)
+        q_primal, s = q[:, 0, 0], q[:, 0, 1:]
+        i_star = int(np.argmax(q_primal))  # argmax of w_tip; phi_tip > 0
+        grad_max = self.wing.mode_tip_value * s[i_star]
+        grad_energy = (self.wing.stiffness * q_primal[:, None] * s).mean(axis=0)
+        return np.vstack([grad_max, grad_energy])

@@ -135,6 +135,34 @@ def test_final_time_must_cover_gust_window():
         simulate(gust, flight, wing, SimulationConfig(final_time=0.15))
 
 
+# (entry point, its input, the row it reports); the final time 0.25 s
+# covers the window of NOMINAL (ending at 0.22 s) but not that of LATE (0.3 s)
+LATE = np.array([40.0, 8.0, 10.0])
+WINDOW_CALLS = [
+    ("evaluate_batch", np.array([NOMINAL, LATE, LATE]), 1),
+    ("evaluate", LATE, 0),
+    ("gradient", LATE, 0),
+    ("simulate", LATE, 0),
+]
+
+
+@pytest.mark.parametrize("caller, x, row", WINDOW_CALLS, ids=[c[0] for c in WINDOW_CALLS])
+def test_uncovered_gust_window_names_row_input_and_end(caller, x, row):
+    short = GustOracle(config=SimulationConfig(final_time=0.25))
+    with pytest.raises(ValueError, match=rf"^{caller}: row {row} .*\[40\.0, 8\.0, 10\.0\]"
+                                         r".*window ending at 0\.3 s"):
+        getattr(short, caller)(x)
+
+
+def test_window_is_checked_against_the_last_time_node():
+    # 0.3 / 0.1 rounds below 3, so the grid stops at 0.2 s, short of the
+    # window of [40, 6, 10], which ends at 0.25 s
+    coarse = GustOracle(config=SimulationConfig(time_step=0.1, final_time=0.3))
+    with pytest.raises(ValueError,
+                       match=r"window ending at 0\.25 s; the time grid ends at 0\.2 s"):
+        coarse.evaluate(np.array([40.0, 6.0, 10.0]))
+
+
 def test_history_invariants():
     gust, flight, wing, config = make_parts()
     hist = simulate(gust, flight, wing, config)
@@ -298,6 +326,9 @@ def test_zero_peak_velocity_is_valid(oracle):
     lambda: FlightCondition(np.nan),
     lambda: FlightCondition(np.inf),
     lambda: FlightCondition(50.0, air_density=np.nan),
+    lambda: GustOracle(air_density=np.nan),
+    lambda: GustOracle(air_density=-1.225),
+    lambda: GustOracle(gust_onset_time=np.inf),
 ])
 def test_gust_and_flight_reject_non_finite(make):
     with pytest.raises(ValueError, match="finite"):
@@ -328,3 +359,9 @@ def test_energy_non_negative_and_batch_displacement_bit_identical(oracle, points
     assert (batch[:, 1] >= 0).all()
     single = np.array([oracle.evaluate(x).max_tip_displacement for x in points])
     np.testing.assert_array_equal(batch[:, 0], single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=box_points)
+def test_simulate_qois_bit_identical_to_evaluate(oracle, x):
+    assert qois(oracle.simulate(x)) == oracle.evaluate(x)

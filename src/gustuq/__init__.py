@@ -10,9 +10,8 @@ from .core import (CountingOracle, InputSpace, QoIRecord,
                    RiskMeasures, UncertainInput, default_input_space,
                    from_standard, latin_hypercube, nearest_rank_quantile,
                    risk_from_samples, to_standard)
-from .dimred import (QuadratureRule, UDRApprox, dr_moments, dr_quantile,
-                     gauss_legendre, gudr_build, gudr_build_scalar, udr_build,
-                     udr_build_scalar)
+from .dimred import (UDRApprox, dr_moments, dr_quantile, gauss_legendre,
+                     gudr_build, gudr_build_scalar, udr_build, udr_build_scalar)
 from .gust import (FlightCondition, GustOracle, GustProfile, SimulationConfig,
                    TimeHistory, WingModel, gradient, gust_velocity, qois,
                    simulate)

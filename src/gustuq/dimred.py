@@ -25,7 +25,6 @@ from .core import InputSpace, UncertainInput, nearest_rank_quantile, substream
 from .pce import legendre_table
 
 __all__ = [
-    "QuadratureRule",
     "gauss_legendre",
     "UnivariateSlice",
     "UDRApprox",

@@ -79,10 +79,11 @@ class WingModel:
     def __post_init__(self):
         for name in ("modal_mass", "natural_frequency", "reference_area",
                      "lift_curve_slope", "mode_tip_value"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.damping_ratio < 0:
-            raise ValueError("damping ratio cannot be negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        if not (math.isfinite(self.damping_ratio) and self.damping_ratio >= 0):
+            raise ValueError("damping ratio must be finite and non-negative")
 
     @property
     def stiffness(self) -> float:
@@ -101,10 +102,14 @@ class SimulationConfig:
     newmark_gamma: float = 0.5
 
     def __post_init__(self):
-        if self.time_step <= 0:
-            raise ValueError("time step must be positive")
-        if self.final_time <= 0:
-            raise ValueError("final time must be positive")
+        if not (math.isfinite(self.time_step) and self.time_step > 0):
+            raise ValueError("time step must be finite and positive")
+        if not (math.isfinite(self.final_time) and self.final_time > 0):
+            raise ValueError("final time must be finite and positive")
+        if not (math.isfinite(self.newmark_beta) and self.newmark_beta > 0):
+            raise ValueError("newmark beta must be finite and positive")
+        if not math.isfinite(self.newmark_gamma):
+            raise ValueError("newmark gamma must be finite")
 
 
 @dataclass(frozen=True)
@@ -248,6 +253,10 @@ def gradient(gust: GustProfile, flight: FlightCondition, wing: WingModel,
 # Oracle input columns: each value finite, V_inf > 0, l_g > 0, V_p >= 0.
 _ORACLE_INPUTS = ("freestream_velocity", "gust_length", "peak_gust_velocity")
 
+# Shortest gust window, in time steps, that the oracle accepts; a shorter
+# window can fall between two nodes and leave the response silently zero.
+_MIN_WINDOW_STEPS = 2
+
 # Points integrated in lockstep per Newmark call; bounds the (time x point)
 # temporaries of large batches.
 _BATCH_CHUNK = 20000
@@ -264,9 +273,10 @@ class GustOracle:
     is bit-identical to one-at-a-time evaluation; its energy is a time mean
     whose summation order depends on the batch width, so it agrees with
     one-at-a-time evaluation to about 10 ulp.  Points must be finite with
-    V_inf > 0, l_g > 0 and V_p >= 0, and the final time must cover their
-    gust windows; each entry point raises a ValueError naming the first
-    row that does not.
+    V_inf > 0, l_g > 0 and V_p >= 0, the final time must cover their gust
+    windows, and each window must last at least ``_MIN_WINDOW_STEPS`` time
+    steps; each entry point raises a ValueError naming the first row that
+    does not.
     """
 
     def __init__(self, wing: WingModel | None = None,
@@ -297,7 +307,8 @@ class GustOracle:
             raise ValueError(f"{caller}: row {row} has {_ORACLE_INPUTS[col]} = "
                              f"{float(points[row, col])!r}; it must be finite and "
                              f"{'non-negative' if col == 2 else 'positive'}")
-        window_end = self.gust_onset_time + points[:, 1] / points[:, 0]
+        duration = points[:, 1] / points[:, 0]
+        window_end = self.gust_onset_time + duration
         grid_end = _time_grid(self.config)[-1]
         late = grid_end < window_end
         if late.any():
@@ -306,31 +317,48 @@ class GustOracle:
                              f"has its gust window ending at {window_end[row]:.6g} s; "
                              f"the time grid ends at {grid_end:.6g} s "
                              f"(final time {self.config.final_time} s)")
+        dt = self.config.time_step
+        short = duration < _MIN_WINDOW_STEPS * dt
+        if short.any():
+            row = int(np.argmax(short))
+            raise ValueError(f"{caller}: row {row} (V_inf, l_g, V_p) = {points[row].tolist()} "
+                             f"has a gust window of {duration[row]:.6g} s, "
+                             f"shorter than {_MIN_WINDOW_STEPS} time steps of {dt:.6g} s")
         return points
 
     def _forcing(self, points: np.ndarray, sensitivities: bool) -> np.ndarray:
         """Lift forcing Q(t) = 1/2 rho V_inf S C_La Vg(t) for each row of ``points``.
 
         Returns (T, n) for n points; with ``sensitivities``, (T, n, 4): Q
-        followed by its partial derivatives wrt V_inf, l_g and V_p.  The
-        window edges carry zero velocity and zero phase derivative, so the
-        partials are continuous there.
+        followed by its partial derivatives wrt V_inf, l_g and V_p.  Only
+        the window rows are built: from the first time node after the onset
+        up to the first node at or after the batch's latest window end.  The
+        gust is zero outside its window, so every other row is exactly +0.0,
+        as it would be if it were built.  The window edges carry zero
+        velocity and zero phase derivative, so the partials are continuous
+        there.
         """
-        t = _time_grid(self.config)[:, None]
+        t_grid = _time_grid(self.config)
         t0 = self.gust_onset_time
         vinf, lg, vp = points[:, 0], points[:, 1], points[:, 2]
+        lo = np.searchsorted(t_grid, t0, side="right")
+        hi = np.searchsorted(t_grid, (t0 + lg / vinf).max(), side="left")
+        out = np.zeros((t_grid.size, points.shape[0]) + ((4,) if sensitivities else ()))
+        t = t_grid[lo:hi, None]
         phase, inside, shape = _gust_shape(t, t0, vinf, lg)
         scale = (0.5 * self.air_density * vinf
                  * self.wing.reference_area * self.wing.lift_curve_slope)
         vg = 0.5 * vp * shape
         if not sensitivities:
-            return scale * vg
+            out[lo:hi] = scale * vg
+            return out
         sin_term = 0.5 * vp * np.sin(phase)
         d_vinf = np.where(inside, sin_term * 2.0 * np.pi * (t - t0) / lg, 0.0)
         d_lg = np.where(inside, -sin_term * 2.0 * np.pi * (t - t0) * vinf / lg**2, 0.0)
         # Q = scale(V_inf) * Vg; the V_inf column picks up the prefactor too.
-        return np.stack([scale * vg, scale * d_vinf + (scale / vinf) * vg,
-                         scale * d_lg, scale * (0.5 * shape)], axis=-1)
+        out[lo:hi] = np.stack([scale * vg, scale * d_vinf + (scale / vinf) * vg,
+                               scale * d_lg, scale * (0.5 * shape)], axis=-1)
+        return out
 
     def _response(self, points: np.ndarray, sensitivities: bool = False):
         """(q, qdot) of the forced oscillator, shaped like ``_forcing``'s result."""

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from gustuq import (FlightCondition, GustOracle, GustProfile, QoIRecord,
                     SimulationConfig, TimeHistory, WingModel, gradient,
                     gust_velocity, qois, simulate)
-from gustuq.gust import newmark_response
+from gustuq.gust import _gust_shape, _time_grid, newmark_response
 
 NOMINAL = np.array([50.0, 6.0, 10.0])
 
@@ -161,6 +161,30 @@ def test_window_is_checked_against_the_last_time_node():
     with pytest.raises(ValueError,
                        match=r"window ending at 0\.25 s; the time grid ends at 0\.2 s"):
         coarse.evaluate(np.array([40.0, 6.0, 10.0]))
+
+
+# (entry point, its input, the row it reports); at V_inf = 500 the 4 m gust
+# lasts 8 ms, less than one 10 ms time step, so the grid misses it entirely
+FAST = np.array([500.0, 4.0, 10.0])
+RESOLUTION_CALLS = [
+    ("evaluate_batch", np.array([NOMINAL, NOMINAL, FAST]), 2),
+    ("evaluate", FAST, 0),
+    ("gradient", FAST, 0),
+    ("simulate", FAST, 0),
+]
+
+
+@pytest.mark.parametrize("caller, x, row", RESOLUTION_CALLS,
+                         ids=[c[0] for c in RESOLUTION_CALLS])
+def test_unresolved_gust_window_names_row_input_and_length(oracle, caller, x, row):
+    with pytest.raises(ValueError, match=rf"^{caller}: row {row} .*\[500\.0, 4\.0, 10\.0\]"
+                                         r".*window of 0\.008 s.*2 time steps of 0\.01 s"):
+        getattr(oracle, caller)(x)
+
+
+def test_gust_window_of_exactly_two_steps_is_resolved(oracle):
+    # 4 m at 200 m/s lasts 0.02 s, exactly two 0.01 s steps
+    assert oracle.evaluate(np.array([200.0, 4.0, 10.0])).max_tip_displacement > 0.0
 
 
 def test_history_invariants():
@@ -329,6 +353,21 @@ def test_zero_peak_velocity_is_valid(oracle):
     lambda: GustOracle(air_density=np.nan),
     lambda: GustOracle(air_density=-1.225),
     lambda: GustOracle(gust_onset_time=np.inf),
+    lambda: WingModel(modal_mass=np.nan),
+    lambda: WingModel(modal_mass=-50.0),
+    lambda: WingModel(natural_frequency=np.inf),
+    lambda: WingModel(reference_area=np.nan),
+    lambda: WingModel(lift_curve_slope=np.inf),
+    lambda: WingModel(mode_tip_value=np.nan),
+    lambda: WingModel(damping_ratio=np.nan),
+    lambda: WingModel(damping_ratio=np.inf),
+    lambda: WingModel(damping_ratio=-0.01),
+    lambda: SimulationConfig(time_step=np.nan),
+    lambda: SimulationConfig(final_time=np.inf),
+    lambda: SimulationConfig(newmark_beta=np.nan),
+    lambda: SimulationConfig(newmark_beta=0.0),
+    lambda: SimulationConfig(newmark_beta=-0.25),
+    lambda: SimulationConfig(newmark_gamma=np.inf),
 ])
 def test_gust_and_flight_reject_non_finite(make):
     with pytest.raises(ValueError, match="finite"):
@@ -365,3 +404,64 @@ def test_energy_non_negative_and_batch_displacement_bit_identical(oracle, points
 @given(x=box_points)
 def test_simulate_qois_bit_identical_to_evaluate(oracle, x):
     assert qois(oracle.simulate(x)) == oracle.evaluate(x)
+
+
+# -- window-only forcing ---------------------------------------------------------
+
+def _full_grid_forcing(oracle, points, sensitivities):
+    """Lift forcing and its partials built from ``_gust_shape`` on every time node."""
+    t = _time_grid(oracle.config)[:, None]
+    t0 = oracle.gust_onset_time
+    vinf, lg, vp = points[:, 0], points[:, 1], points[:, 2]
+    phase, inside, shape = _gust_shape(t, t0, vinf, lg)
+    scale = (0.5 * oracle.air_density * vinf
+             * oracle.wing.reference_area * oracle.wing.lift_curve_slope)
+    vg = 0.5 * vp * shape
+    if not sensitivities:
+        return scale * vg
+    sin_term = 0.5 * vp * np.sin(phase)
+    d_vinf = np.where(inside, sin_term * 2.0 * np.pi * (t - t0) / lg, 0.0)
+    d_lg = np.where(inside, -sin_term * 2.0 * np.pi * (t - t0) * vinf / lg**2, 0.0)
+    return np.stack([scale * vg, scale * d_vinf + (scale / vinf) * vg,
+                     scale * d_lg, scale * (0.5 * shape)], axis=-1)
+
+
+def _assert_forcing_is_window_only(oracle, points):
+    """``_forcing`` equals the full-grid forcing bit for bit, and is +0.0 off the window rows."""
+    t = _time_grid(oracle.config)
+    t0 = oracle.gust_onset_time
+    lo = np.searchsorted(t, t0, side="right")
+    hi = np.searchsorted(t, (t0 + points[:, 1] / points[:, 0]).max(), side="left")
+    for sensitivities in (False, True):
+        out = oracle._forcing(points, sensitivities)
+        ref = _full_grid_forcing(oracle, points, sensitivities)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        off_window = np.concatenate([out[:lo], out[hi:]])
+        assert (off_window == 0.0).all() and not np.signbit(off_window).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(box_points, min_size=1, max_size=12))
+def test_forcing_is_built_on_window_rows_only(oracle, points):
+    _assert_forcing_is_window_only(oracle, np.array(points))
+
+
+def test_forcing_window_ending_on_a_time_node(oracle):
+    points = np.array([[50.0, 6.0, 10.0], [55.0, 5.0, 12.0]])
+    # the latest window, (0.1 s, 0.1 + 6/50 s), ends exactly on the node at 0.22 s
+    assert oracle.gust_onset_time + 6.0 / 50.0 == _time_grid(oracle.config)[22]
+    _assert_forcing_is_window_only(oracle, points)
+
+
+@pytest.mark.parametrize("points", [
+    [[45.0, 7.0, 0.0], [60.0, 4.0, 0.0]],
+    [[40.0, 8.0, 15.0]],
+], ids=["zero-peak-velocity", "one-point"])
+def test_forcing_window_rows_fixed_cases(oracle, points):
+    _assert_forcing_is_window_only(oracle, np.array(points))
+
+
+def test_empty_batch_evaluates_to_no_rows(oracle):
+    out = oracle.evaluate_batch(np.empty((0, 3)))
+    assert out.shape == (0, 2)

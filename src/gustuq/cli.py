@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import QOI_NAMES
+from .gust import qois
 from .harness import (StudyConfig, build_oracle, export_pdf_data,
                       run_convergence, run_ground_truth,
                       write_convergence_csv, write_convergence_json,
@@ -93,18 +94,27 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     oracle = build_oracle(config)
-    if args.point:
-        point = np.array([float(v) for v in args.point.split(",")])
-    else:
-        point = config.space.midpoint
+    point = config.space.midpoint if args.point is None else args.point
     history = oracle.simulate(point)
     path = out / "timehistory.csv"
     history.to_csv(path)
-    rec = oracle.evaluate(point)
+    rec = qois(history)
     print(f"point {point.tolist()}: max_tip_displacement={rec.max_tip_displacement:.6g} m, "
           f"avg_strain_energy={rec.avg_strain_energy:.6g} J")
     print(f"wrote {path}")
     return 0
+
+
+def _point(text: str) -> np.ndarray:
+    """``--point`` value: three comma-separated numbers V_inf,l_g,V_p."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated numbers V_inf,l_g,V_p, got {text!r}")
+    return np.array(values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="dump one time history")
     common(p_sim)
-    p_sim.add_argument("--point", help="comma-separated physical point, "
-                                       "default = input-space midpoint")
+    p_sim.add_argument("--point", type=_point,
+                       help="comma-separated physical point V_inf,l_g,V_p, "
+                            "default = input-space midpoint")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -168,18 +168,46 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     """Newmark time stepping for m q'' + c q' + k q = F(t), zero ICs.
 
     ``forcing`` holds F at the time nodes, shape (n_steps+1,) or
-    (n_steps+1, batch); the batch axis is integrated in lockstep.
-    Returns (q, qdot) with the same shape as forcing.
+    (n_steps+1, batch) with at least one node; the batch axis is
+    integrated in lockstep.  Returns (q, qdot) with the same shape as
+    forcing.  ``m``, ``k``, ``dt`` and ``beta`` must be finite and
+    positive, ``c`` finite and non-negative, ``gamma`` finite; a
+    ValueError names the first that is not.  The forcing's values are not
+    scanned.
+
+    Each step runs in a few length-``batch`` buffers allocated once per
+    call and writes the new state straight into the returned histories.
+    Its arithmetic is that of the textbook update, term by term and in
+    the same order, so the result does not depend on the buffering:
+
+        rhs     = F + m (c0 q + c1 v + c2 a) + c (c3 q + c4 v + c5 a)
+        q_next  = rhs / k_eff
+        a_next  = c0 (q_next - q) - c1 v - c2 a
+        v_next  = v + dt ((1 - gamma) a + gamma a_next)
+
+    The damping term is kept when ``c == 0``: dropping it can change the
+    sign of a zero.
     """
+    for name, value, positive in (("m", m, True), ("c", c, False), ("k", k, True),
+                                  ("dt", dt, True), ("beta", beta, True)):
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise ValueError(f"newmark_response: {name} must be finite and "
+                             f"{'positive' if positive else 'non-negative'}, got {value!r}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"newmark_response: gamma must be finite, got {gamma!r}")
     forcing = np.asarray(forcing, dtype=float)
+    if forcing.ndim not in (1, 2) or forcing.shape[0] == 0:
+        raise ValueError("newmark_response: forcing must be 1-D or 2-D with at least one "
+                         f"time node, got shape {forcing.shape}")
     squeeze = forcing.ndim == 1
     F = forcing[:, None] if squeeze else forcing
     n_nodes, batch = F.shape
 
-    q = np.zeros((n_nodes, batch))
-    v = np.zeros((n_nodes, batch))
-    a = np.empty(batch)
-    a[:] = F[0] / m  # zero initial displacement and velocity
+    q = np.empty((n_nodes, batch))
+    v = np.empty((n_nodes, batch))
+    q[0] = 0.0
+    v[0] = 0.0
+    a = F[0] / m  # zero initial displacement and velocity
 
     k_eff = k + gamma * c / (beta * dt) + m / (beta * dt * dt)
     c0 = 1.0 / (beta * dt * dt)
@@ -188,19 +216,43 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     c3 = gamma / (beta * dt)
     c4 = gamma / beta - 1.0
     c5 = dt * (gamma / (2.0 * beta) - 1.0)
+    # As 0-d arrays the constants skip the Python-float conversion a ufunc
+    # makes on every call, which dominates at batch widths of a few points.
+    m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, g_a, g_an1 = map(
+        np.array, (m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, 1.0 - gamma, gamma))
 
-    qn = q[0]
-    vn = v[0]
+    mul, add, sub = np.multiply, np.add, np.subtract
+    c1v, c2a, t, u = (np.empty(batch) for _ in range(4))
     for i in range(1, n_nodes):
-        rhs = (F[i]
-               + m * (c0 * qn + c1 * vn + c2 * a)
-               + c * (c3 * qn + c4 * vn + c5 * a))
-        qn1 = rhs / k_eff
-        an1 = c0 * (qn1 - qn) - c1 * vn - c2 * a
-        vn1 = vn + dt * ((1.0 - gamma) * a + gamma * an1)
-        q[i] = qn1
-        v[i] = vn1
-        qn, vn, a = qn1, vn1, an1
+        qn, vn, qn1, vn1 = q[i - 1], v[i - 1], q[i], v[i]
+        mul(c1, vn, c1v)
+        mul(c2, a, c2a)
+        # rhs, accumulated in q[i]: the mass term ...
+        mul(c0, qn, t)
+        add(t, c1v, t)
+        add(t, c2a, t)
+        mul(m, t, t)
+        add(F[i], t, qn1)
+        # ... then the damping term
+        mul(c3, qn, t)
+        mul(c4, vn, u)
+        add(t, u, t)
+        mul(c5, a, u)
+        add(t, u, t)
+        mul(c, t, t)
+        add(qn1, t, qn1)
+        np.divide(qn1, k_eff, qn1)
+        # a_next, in t, which then becomes a
+        sub(qn1, qn, t)
+        mul(c0, t, t)
+        sub(t, c1v, t)
+        sub(t, c2a, t)
+        mul(g_a, a, u)
+        a, t = t, a
+        mul(g_an1, a, t)
+        add(u, t, u)
+        mul(dt, u, u)
+        add(vn, u, vn1)
 
     if squeeze:
         return q[:, 0], v[:, 0]
@@ -396,10 +448,13 @@ class GustOracle:
         return out
 
     def _evaluate_chunk(self, points) -> np.ndarray:
-        q, _ = self._response(points)
-        k = self.wing.stiffness
-        w_tip = self.wing.mode_tip_value * q
-        return np.column_stack([w_tip.max(axis=0), (0.5 * k * q * q).mean(axis=0)])
+        q, v = self._response(points)
+        # max(phi q) == phi max(q) exactly: phi > 0 and rounding is monotone.
+        max_tip = self.wing.mode_tip_value * q.max(axis=0)
+        # 1/2 k q q, built in the velocity history, which the QoIs do not use.
+        energy = np.multiply(0.5 * self.wing.stiffness, q, out=v)
+        energy *= q
+        return np.column_stack([max_tip, energy.mean(axis=0)])
 
     def gradient(self, x) -> np.ndarray:
         """2x3 gradient of (max tip displacement, avg strain energy) wrt (V_inf, l_g, V_p).

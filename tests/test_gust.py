@@ -368,10 +368,30 @@ def test_zero_peak_velocity_is_valid(oracle):
     lambda: SimulationConfig(newmark_beta=0.0),
     lambda: SimulationConfig(newmark_beta=-0.25),
     lambda: SimulationConfig(newmark_gamma=np.inf),
+    lambda: newmark_response(0.0, 0.0, 1.0, np.ones(3), 0.01),
+    lambda: newmark_response(np.nan, 0.0, 1.0, np.ones(3), 0.01),
+    lambda: newmark_response(1.0, 0.0, np.nan, np.ones(3), 0.01),
+    lambda: newmark_response(1.0, 0.0, 0.0, np.ones(3), 0.01),
+    lambda: newmark_response(1.0, -0.1, 1.0, np.ones(3), 0.01),
+    lambda: newmark_response(1.0, np.inf, 1.0, np.ones(3), 0.01),
+    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), 0.0),
+    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), -0.01),
+    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), np.nan),
+    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), 0.01, beta=0.0),
+    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), 0.01, beta=np.nan),
+    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), 0.01, gamma=np.inf),
 ])
 def test_gust_and_flight_reject_non_finite(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("forcing", [np.empty(0), np.empty((0, 3)), np.ones((3, 2, 2)),
+                                     np.float64(1.0)],
+                         ids=["empty", "no-rows", "3-D", "scalar"])
+def test_newmark_response_rejects_bad_forcing_shape(forcing):
+    with pytest.raises(ValueError, match="forcing"):
+        newmark_response(1.0, 0.0, 1.0, forcing, 0.01)
 
 
 # -- oracle properties over the input box --------------------------------------
@@ -465,3 +485,110 @@ def test_forcing_window_rows_fixed_cases(oracle, points):
 def test_empty_batch_evaluates_to_no_rows(oracle):
     out = oracle.evaluate_batch(np.empty((0, 3)))
     assert out.shape == (0, 2)
+
+
+# -- Newmark kernel against the allocating loop it replaced ----------------------
+
+def _reference_newmark(m, c, k, forcing, dt, beta=0.25, gamma=0.5):
+    """The step loop ``newmark_response`` had before it reused buffers, kept verbatim."""
+    forcing = np.asarray(forcing, dtype=float)
+    squeeze = forcing.ndim == 1
+    F = forcing[:, None] if squeeze else forcing
+    n_nodes, batch = F.shape
+
+    q = np.zeros((n_nodes, batch))
+    v = np.zeros((n_nodes, batch))
+    a = np.empty(batch)
+    a[:] = F[0] / m  # zero initial displacement and velocity
+
+    k_eff = k + gamma * c / (beta * dt) + m / (beta * dt * dt)
+    c0 = 1.0 / (beta * dt * dt)
+    c1 = 1.0 / (beta * dt)
+    c2 = 1.0 / (2.0 * beta) - 1.0
+    c3 = gamma / (beta * dt)
+    c4 = gamma / beta - 1.0
+    c5 = dt * (gamma / (2.0 * beta) - 1.0)
+
+    qn = q[0]
+    vn = v[0]
+    for i in range(1, n_nodes):
+        rhs = (F[i]
+               + m * (c0 * qn + c1 * vn + c2 * a)
+               + c * (c3 * qn + c4 * vn + c5 * a))
+        qn1 = rhs / k_eff
+        an1 = c0 * (qn1 - qn) - c1 * vn - c2 * a
+        vn1 = vn + dt * ((1.0 - gamma) * a + gamma * an1)
+        q[i] = qn1
+        v[i] = vn1
+        qn, vn, a = qn1, vn1, an1
+
+    if squeeze:
+        return q[:, 0], v[:, 0]
+    return q, v
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+# Forcing values: ordinary magnitudes, signed zeros and subnormals.
+forcing_values = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.7e-308]),
+)
+
+
+@st.composite
+def newmark_cases(draw):
+    width = draw(st.one_of(st.none(), st.integers(1, 12)))  # None: 1-D forcing
+    n_nodes = draw(st.integers(1, 40))
+    shape = (n_nodes,) if width is None else (n_nodes, width)
+    forcing = draw(st.lists(forcing_values, min_size=int(np.prod(shape)),
+                            max_size=int(np.prod(shape))))
+    return dict(
+        m=draw(st.floats(0.1, 500.0)),
+        c=draw(st.one_of(st.just(0.0), st.floats(1e-3, 100.0))),
+        k=draw(st.floats(1.0, 1e5)),
+        forcing=np.array(forcing).reshape(shape),
+        dt=draw(st.floats(1e-3, 0.05)),
+        beta=draw(st.floats(0.1, 0.5)),
+        gamma=draw(st.floats(0.4, 1.0)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=newmark_cases())
+def test_newmark_response_bit_identical_to_reference_loop(case):
+    q, v = newmark_response(**case)
+    q_ref, v_ref = _reference_newmark(**case)
+    _assert_same_bits(q, q_ref)
+    _assert_same_bits(v, v_ref)
+
+
+def test_newmark_response_keeps_the_zero_damping_term():
+    # In the first step the mass part of the right-hand side is
+    # F[1] + m * (c2 * a0) = -0 + -0 (the product underflows), and the
+    # damping term is 0 * (+0) = +0, so the sum is +0.  Leaving the term
+    # out when c == 0 would give q[1] = -0.
+    forcing = np.array([[-5e-324, 0.0], [-0.0, 0.0]])
+    case = dict(m=0.5, c=0.0, k=1.0, forcing=forcing, dt=0.05, beta=0.3, gamma=0.4)
+    q, v = newmark_response(**case)
+    q_ref, v_ref = _reference_newmark(**case)
+    assert not np.signbit(q[1, 0])
+    _assert_same_bits(q, q_ref)
+    _assert_same_bits(v, v_ref)
+
+
+@pytest.mark.parametrize("wing", [WingModel(mode_tip_value=0.73),
+                                  WingModel(mode_tip_value=2.9, damping_ratio=0.02)],
+                         ids=["tip-0.73", "tip-2.9-damped"])
+def test_evaluate_chunk_reductions_bit_identical_to_full_products(wing, space):
+    oracle = GustOracle(wing=wing)
+    rng = np.random.default_rng(8)
+    points = space.lower + (space.upper - space.lower) * rng.random((257, 3))
+    q, _ = oracle._response(points)
+    k = wing.stiffness
+    expected = np.column_stack([(wing.mode_tip_value * q).max(axis=0),
+                                (0.5 * k * q * q).mean(axis=0)])
+    _assert_same_bits(oracle._evaluate_chunk(points), expected)

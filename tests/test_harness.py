@@ -7,6 +7,7 @@ import pytest
 
 from gustuq import (CountingOracle, RiskMeasures, StudyConfig, run_convergence,
                     run_ground_truth)
+from gustuq import gust
 from gustuq.cli import main as cli_main
 from gustuq.harness import (build_oracle, export_pdf_data,
                             write_convergence_csv)
@@ -239,3 +240,30 @@ def test_cli_simulate(config_file, tmp_path):
     lines = (tmp_path / "timehistory.csv").read_text().splitlines()
     assert lines[0] == "t,q,qdot,w_tip,U"
     assert len(lines) == 202  # 2.0 s at dt = 0.01 plus header
+
+
+def test_cli_simulate_integrates_once_and_prints_the_history_qois(config_file, tmp_path,
+                                                                  capsys, monkeypatch):
+    calls = []
+    integrate = gust.newmark_response
+    monkeypatch.setattr(gust, "newmark_response",
+                        lambda *args, **kwargs: calls.append(1) or integrate(*args, **kwargs))
+    assert cli_main(["simulate", "--config", str(config_file), "--out", str(tmp_path),
+                     "--point", "52,6.5,11"]) == 0
+    assert len(calls) == 1
+    rec = build_oracle(StudyConfig.from_json_file(config_file)).evaluate([52.0, 6.5, 11.0])
+    assert capsys.readouterr().out.splitlines() == [
+        f"point [52.0, 6.5, 11.0]: max_tip_displacement={rec.max_tip_displacement:.6g} m, "
+        f"avg_strain_energy={rec.avg_strain_energy:.6g} J",
+        f"wrote {tmp_path / 'timehistory.csv'}",
+    ]
+
+
+@pytest.mark.parametrize("point", ["a,b,c", "1,2", "1,2,3,4", "", "52,,11"])
+def test_cli_simulate_rejects_malformed_point(config_file, tmp_path, capsys, point):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["simulate", "--config", str(config_file), "--out", str(tmp_path),
+                  "--point", point])
+    assert exc.value.code == 2
+    assert "--point" in capsys.readouterr().err
+    assert not (tmp_path / "timehistory.csv").exists()

@@ -95,7 +95,10 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     oracle = build_oracle(config)
     point = config.space.midpoint if args.point is None else args.point
-    history = oracle.simulate(point)
+    try:
+        history = oracle.simulate(point)
+    except ValueError as exc:  # a point outside the oracle's domain
+        args.usage_error(f"argument --point: {exc}")
     path = out / "timehistory.csv"
     history.to_csv(path)
     rec = qois(history)
@@ -148,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--point", type=_point,
                        help="comma-separated physical point V_inf,l_g,V_p, "
                             "default = input-space midpoint")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, usage_error=p_sim.error)
     return parser
 
 

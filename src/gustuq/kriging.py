@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import RiskMeasures, nearest_rank_quantile, risk_from_samples, substream
 from .pce import FitError
@@ -58,12 +59,25 @@ class KrigingModel:
         values = np.array(data["train_values"], dtype=float)
         theta = np.array(data["lengthscales"], dtype=float)
         nugget = float(data["nugget"])
-        corr = _correlation(_sq_dists(points, points), theta, nugget)
-        factor = cho_factor(corr, lower=True)
-        alpha = cho_solve(factor, values - data["trend"])
+        trend = float(data["trend"])
+        _require_finite("KrigingModel.from_json", train_points=points, train_values=values,
+                        lengthscales=theta, nugget=nugget, trend=trend)
+        factor = _cholesky(_correlation(_sq_dists(points, points), theta, nugget))
+        alpha = _solve(factor, values - trend)
         return cls(train_points=points, train_values=values, lengthscales=theta,
                    process_variance=float(data["process_variance"]),
-                   trend=float(data["trend"]), nugget=nugget, _alpha=alpha)
+                   trend=trend, nugget=nugget, _alpha=alpha)
+
+
+def _require_finite(caller: str, **arrays) -> None:
+    """Raise a ValueError naming the first non-finite entry of the named arrays."""
+    for name, array in arrays.items():
+        array = np.asarray(array)
+        bad = np.flatnonzero(~np.isfinite(array))
+        if bad.size:
+            index = np.unravel_index(bad[0], array.shape)
+            label = f"{name}[{', '.join(map(str, index))}]" if index else name
+            raise ValueError(f"{caller}: {label} is {array[index]}; it must be finite")
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,9 +94,51 @@ def _correlation(sq: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray
     return corr
 
 
+def _cholesky(corr: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of R + nugget I, computed in place over ``corr``.
+
+    ``corr`` is exactly symmetric, so its transpose is the same matrix in
+    Fortran order and LAPACK factors it without a copy or a finiteness
+    pass (callers check their inputs). The upper triangle keeps R.
+    """
+    factor, info = dpotrf(corr.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return factor
+
+
+def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(R + nugget I)^-1 rhs from ``_cholesky``'s factor.
+
+    One right-hand side per call: a multi-column solve is not bit-identical
+    to single-column ones on every BLAS kernel.
+    """
+    x, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: argument {-info} is invalid")
+    return x
+
+
 # Smallest acceptable ratio of Cholesky diagonal extremes; below this the
 # correlation matrix is too ill-conditioned for nugget-scale interpolation.
 _MIN_DIAG_RATIO = 1e-3
+
+# θ values (as bytes) whose R + nugget I failed to factor or failed the
+# _MIN_DIAG_RATIO guard, for one design. Rejection depends only on the
+# points, θ, the nugget and the guard, not on the values, so the second QoI
+# fitted on a design skips the θ the first one rejected. One entry: a fit
+# with another key replaces it. Accepted θ are always recomputed.
+_REJECTED: dict[tuple, set[bytes]] = {}
+
+
+def _rejected_thetas(points: np.ndarray, nugget: float) -> set[bytes]:
+    key = (points.tobytes(), points.shape, nugget, _MIN_DIAG_RATIO)
+    rejected = _REJECTED.get(key)
+    if rejected is None:  # a concurrent fit on another design costs a miss, never a wrong entry
+        rejected = set()
+        _REJECTED.clear()
+        _REJECTED[key] = rejected
+    return rejected
 
 
 def _concentrated_fit(sq, values, theta, nugget):
@@ -92,18 +148,17 @@ def _concentrated_fit(sq, values, theta, nugget):
     correlation matrices, so the optimizer treats both alike.
     """
     n = sq.shape[0]
-    corr = _correlation(sq, theta, nugget)
-    factor = cho_factor(corr, lower=True)
-    diag = np.diag(factor[0])
+    factor = _cholesky(_correlation(sq, theta, nugget))
+    diag = np.diag(factor)
     if diag.min() < _MIN_DIAG_RATIO * diag.max():
         raise LinAlgError("correlation matrix too ill-conditioned")
     ones = np.ones(n)
-    rinv_ones = cho_solve(factor, ones)
-    rinv_y = cho_solve(factor, values)
+    rinv_ones = _solve(factor, ones)
+    rinv_y = _solve(factor, values)
     beta = float(ones @ rinv_y) / float(ones @ rinv_ones)
     resid = values - beta
-    sigma2 = float(resid @ cho_solve(factor, resid)) / n
-    logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+    sigma2 = float(resid @ _solve(factor, resid)) / n
+    logdet = 2.0 * np.sum(np.log(diag))
     scale = max(float(values @ values) / n, 1.0)
     if sigma2 <= 1e-15 * scale:
         # Degenerate (e.g. constant data): flat likelihood, any theta works.
@@ -126,6 +181,7 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
         raise ValueError(f"need at least d + 2 = {d + 2} training points, got {n}")
     if values.shape != (n,):
         raise ValueError("values must be a flat array matching the points")
+    _require_finite("kriging_fit", points=points, values=values, nugget=nugget)
     sq = _sq_dists(points, points)  # shared by every likelihood evaluation
     diffs = sq.sum(axis=2)
     np.fill_diagonal(diffs, np.inf)
@@ -150,6 +206,17 @@ def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
     d = points.shape[1]
     grid = np.logspace(math.log10(_THETA_BOUNDS[0]), math.log10(_THETA_BOUNDS[1]),
                        _GRID_POINTS)
+    rejected = _rejected_thetas(points, nugget)
+
+    def log_likelihood(theta):
+        key = theta.tobytes()
+        if key in rejected:
+            raise LinAlgError("correlation matrix rejected earlier on this design")
+        try:
+            return _concentrated_fit(sq, values, theta, nugget)[0]
+        except LinAlgError:
+            rejected.add(key)
+            raise
 
     best_ll = -math.inf
     best_theta = None
@@ -159,7 +226,7 @@ def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
         total += 1
         theta = np.array(combo)
         try:
-            ll, *_ = _concentrated_fit(sq, values, theta, nugget)
+            ll = log_likelihood(theta)
         except LinAlgError:
             failures += 1
             continue
@@ -182,7 +249,7 @@ def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
                 if trial[j] == log_theta[j]:
                     continue
                 try:
-                    ll, *_ = _concentrated_fit(sq, values, 10.0 ** trial, nugget)
+                    ll = log_likelihood(10.0 ** trial)
                 except LinAlgError:
                     continue
                 if ll > best_ll:
@@ -193,7 +260,7 @@ def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
 
     theta = 10.0 ** log_theta
     _, beta, sigma2, factor = _concentrated_fit(sq, values, theta, nugget)
-    alpha = cho_solve(factor, values - beta)
+    alpha = _solve(factor, values - beta)
     return KrigingModel(train_points=points, train_values=values,
                         lengthscales=theta, process_variance=sigma2,
                         trend=beta, nugget=nugget, _alpha=alpha)

@@ -267,3 +267,20 @@ def test_cli_simulate_rejects_malformed_point(config_file, tmp_path, capsys, poi
     assert exc.value.code == 2
     assert "--point" in capsys.readouterr().err
     assert not (tmp_path / "timehistory.csv").exists()
+
+
+@pytest.mark.parametrize("point, message", [
+    ("-5,6,10", "row 0 has freestream_velocity = -5.0; it must be finite and positive"),
+    ("52,6.5,nan", "row 0 has peak_gust_velocity = nan; it must be finite and non-negative"),
+    ("1,6.5,11", "has its gust window ending at"),
+])
+def test_cli_simulate_rejects_point_outside_oracle_domain(config_file, tmp_path, capsys,
+                                                          point, message):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["simulate", "--config", str(config_file), "--out", str(tmp_path),
+                  f"--point={point}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "gustuq simulate: error: argument --point:" in err
+    assert message in err
+    assert not (tmp_path / "timehistory.csv").exists()

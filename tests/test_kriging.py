@@ -1,14 +1,19 @@
+import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from gustuq import (InputSpace, KrigingModel, UncertainInput, kriging_fit,
                     kriging_predict, kriging_risk, latin_hypercube, to_standard)
-from gustuq.kriging import _MAX_NUGGET, _THETA_BOUNDS, _correlation, _sq_dists
+from gustuq import kriging
+from gustuq.kriging import (_MAX_NUGGET, _MIN_DIAG_RATIO, _THETA_BOUNDS, _concentrated_fit,
+                            _correlation, _solve, _sq_dists)
 
 
 @pytest.fixture
@@ -161,15 +166,16 @@ def test_json_round_trip(space):
     values = pts[:, 0] + pts[:, 1] * pts[:, 2]
     model = kriging_fit(pts, values)
     model2 = KrigingModel.from_json(model.to_json())
+    assert model2._alpha.tobytes() == model._alpha.tobytes()
     query = std_lhs(15, space, 12)
     np.testing.assert_allclose(kriging_predict(model2, query),
                                kriging_predict(model, query), rtol=1e-12)
 
 
 @st.composite
-def designs(draw):
-    """Random design (n 5-60, d 1-3), theta anywhere in the search box, and an rng."""
-    n = draw(st.integers(5, 60))
+def designs(draw, min_n=5):
+    """Random design (n min_n-60, d 1-3), theta anywhere in the search box, and an rng."""
+    n = draw(st.integers(min_n, 60))
     d = draw(st.integers(1, 3))
     lo, hi = (math.log10(b) for b in _THETA_BOUNDS)
     log_theta = draw(st.lists(st.floats(lo, hi), min_size=d, max_size=d))
@@ -221,3 +227,200 @@ def test_cached_correlation_equals_from_points_formula(design):
         corr = _correlation(sq, theta, nugget)
         assert np.array_equal(corr, np.exp(-_sq_dists(pts, pts) @ theta) + nugget * np.eye(n))
     assert np.array_equal(sq, _sq_dists(pts, pts))
+
+
+@pytest.mark.parametrize("argument, index, bad", [
+    ("values", (3,), math.nan),
+    ("values", (0,), -math.inf),
+    ("points", (2, 1), math.inf),
+    ("points", (5, 0), math.nan),
+])
+def test_rejects_non_finite_inputs_by_name(space, argument, index, bad):
+    pts = std_lhs(8, space, 13)
+    inputs = {"points": pts, "values": np.sin(pts).sum(axis=1)}
+    inputs[argument][index] = bad
+    inputs[argument].flat[-1] = math.inf  # a later bad entry is not the one named
+    label = f"{argument}[{', '.join(map(str, index))}]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the distance tensor either
+        with pytest.raises(ValueError, match=re.escape(
+                f"kriging_fit: {label} is {bad}; it must be finite")):
+            kriging_fit(inputs["points"], inputs["values"])
+
+
+@pytest.mark.parametrize("nugget", [math.nan, math.inf])
+def test_rejects_non_finite_nugget_by_name(line, nugget):
+    pts = np.array([[-0.5], [0.0], [0.5]])
+    with pytest.raises(ValueError, match=f"kriging_fit: nugget is {nugget}; it must be finite"):
+        kriging_fit(pts, pts[:, 0], nugget=nugget)
+
+
+def test_from_json_rejects_non_finite_fields_by_name(space):
+    pts = std_lhs(10, space, 14)
+    doc = json.loads(kriging_fit(pts, pts.sum(axis=1)).to_json())
+    doc["train_values"][1] = math.nan
+    with pytest.raises(ValueError, match=re.escape(
+            "KrigingModel.from_json: train_values[1] is nan; it must be finite")):
+        KrigingModel.from_json(json.dumps(doc))
+
+
+def _reference_concentrated_fit(sq, values, theta, nugget):
+    """(log-likelihood, trend, process variance, cholesky factor) at fixed theta.
+
+    Raises LinAlgError for non-SPD or numerically near-singular
+    correlation matrices, so the optimizer treats both alike.
+    """
+    n = sq.shape[0]
+    corr = _correlation(sq, theta, nugget)
+    factor = cho_factor(corr, lower=True)
+    diag = np.diag(factor[0])
+    if diag.min() < _MIN_DIAG_RATIO * diag.max():
+        raise LinAlgError("correlation matrix too ill-conditioned")
+    ones = np.ones(n)
+    rinv_ones = cho_solve(factor, ones)
+    rinv_y = cho_solve(factor, values)
+    beta = float(ones @ rinv_y) / float(ones @ rinv_ones)
+    resid = values - beta
+    sigma2 = float(resid @ cho_solve(factor, resid)) / n
+    logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+    scale = max(float(values @ values) / n, 1.0)
+    if sigma2 <= 1e-15 * scale:
+        # Degenerate (e.g. constant data): flat likelihood, any theta works.
+        return math.inf, beta, max(sigma2, 0.0), factor
+    ll = -0.5 * n * math.log(sigma2) - 0.5 * logdet
+    return ll, beta, sigma2, factor
+
+
+def _bits(*xs):
+    return [np.asarray(x, dtype=float).tobytes() for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=designs(min_n=4), constant=st.booleans())
+def test_concentrated_fit_matches_cho_factor_reference_bit_for_bit(design, constant):
+    pts, theta, rng = design
+    n = pts.shape[0]
+    values = np.full(n, 2.5) if constant else rng.normal(size=n)
+    sq = _sq_dists(pts, pts)
+    for nugget in _nugget_ladder():
+        try:
+            want = _reference_concentrated_fit(sq, values, theta, nugget)
+        except LinAlgError as exc:
+            with pytest.raises(LinAlgError, match=f"^{re.escape(str(exc))}$"):
+                _concentrated_fit(sq, values, theta, nugget)
+            continue
+        got = _concentrated_fit(sq, values, theta, nugget)
+        assert _bits(*got[:3]) == _bits(*want[:3])
+        assert _bits(np.tril(got[3])) == _bits(np.tril(want[3][0]))
+        # the final alpha solve of a fit
+        assert _bits(_solve(got[3], values - got[1])) == _bits(cho_solve(want[3], values - want[1]))
+
+
+_MODEL_FIELDS = ("lengthscales", "trend", "process_variance", "nugget", "_alpha",
+                 "train_points", "train_values")
+
+
+def _assert_same_model(got, want):
+    for field in _MODEL_FIELDS:
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(kriging, "_REJECTED", {})
+
+
+def _fresh_fit(points, values, **kwargs):
+    """A fit that starts from an empty rejection memo."""
+    kriging._REJECTED.clear()
+    return kriging_fit(points, values, **kwargs)
+
+
+def _factored_thetas(monkeypatch):
+    """Record the theta of every correlation matrix kriging hands to dpotrf."""
+    built, factored = [], []
+    correlation, dpotrf = kriging._correlation, kriging.dpotrf
+
+    def spy_correlation(sq, theta, nugget):
+        built.append(np.asarray(theta).tobytes())
+        return correlation(sq, theta, nugget)
+
+    def spy_dpotrf(*args, **kwargs):
+        factored.append(built[-1])
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(kriging, "_correlation", spy_correlation)
+    monkeypatch.setattr(kriging, "dpotrf", spy_dpotrf)
+    return factored
+
+
+def _reference_rejects(points, theta_bytes):
+    sq = _sq_dists(points, points)
+    try:
+        _reference_concentrated_fit(sq, np.zeros(len(points)), np.frombuffer(theta_bytes),
+                                    1e-10)
+    except LinAlgError:
+        return True
+    return False
+
+
+def _qois(pts):
+    return np.sin(2.0 * pts[:, 0]) + pts[:, 1] * pts[:, 2], np.exp(pts[:, 0]) - pts[:, 2] ** 2
+
+
+def test_second_qoi_factors_no_theta_the_first_rejected(space, empty_memo, monkeypatch):
+    pts = std_lhs(60, space, 15)
+    first, second = _qois(pts)
+    want = _fresh_fit(pts, second)
+    kriging._REJECTED.clear()
+    factored = _factored_thetas(monkeypatch)
+    kriging_fit(pts, first)
+    rejected = {t for t in factored if _reference_rejects(pts, t)}
+    assert rejected  # the design is dense enough to provoke the guard
+    del factored[:]
+    _assert_same_model(kriging_fit(pts, second), want)
+    assert factored and not rejected.intersection(factored)
+
+
+def test_memo_follows_the_design(space, empty_memo):
+    # The clustered copy of a design rejects many more theta than the design itself,
+    # so a memo served across designs would change the spread design's fit.
+    spread = std_lhs(40, space, 16)
+    clustered = 0.2 * spread
+    want = {name: _fresh_fit(pts, _qois(pts)[0])
+            for name, pts in (("clustered", clustered), ("spread", spread))}
+    kriging._REJECTED.clear()
+    for name, pts in (("clustered", clustered), ("spread", spread), ("clustered", clustered)):
+        _assert_same_model(kriging_fit(pts, _qois(pts)[0]), want[name])
+
+    # an in-place edit of the same array is a new design
+    pts = clustered.copy()
+    kriging_fit(pts, _qois(pts)[0])
+    pts /= 0.2
+    got = kriging_fit(pts, _qois(pts)[0])
+    _assert_same_model(got, _fresh_fit(pts, _qois(pts)[0]))
+
+
+def test_memo_is_not_served_across_nuggets_or_guard_ratios(space, empty_memo, monkeypatch):
+    pts = std_lhs(60, space, 17)
+    first, second = _qois(pts)
+    want_nugget = _fresh_fit(pts, second, nugget=1e-6)
+    monkeypatch.setattr(kriging, "_MIN_DIAG_RATIO", 1e-5)
+    want_ratio = _fresh_fit(pts, second)
+    monkeypatch.setattr(kriging, "_MIN_DIAG_RATIO", _MIN_DIAG_RATIO)
+
+    factored = _factored_thetas(monkeypatch)
+    kriging._REJECTED.clear()
+    kriging_fit(pts, first)
+    rejected = {t for t in factored if _reference_rejects(pts, t)}
+    assert rejected
+
+    del factored[:]
+    _assert_same_model(kriging_fit(pts, second, nugget=1e-6), want_nugget)
+    assert rejected.intersection(factored)
+
+    kriging_fit(pts, first)
+    del factored[:]
+    monkeypatch.setattr(kriging, "_MIN_DIAG_RATIO", 1e-5)
+    _assert_same_model(kriging_fit(pts, second), want_ratio)
+    assert rejected.intersection(factored)

@@ -5,9 +5,10 @@ This is the library-API equivalent of
     gustuq converge --out results/
     gustuq pdf --out results/
 
-but with a reduced budget grid so it finishes in about a minute. Outputs
-land in demo_results/: truth.json, convergence.csv, and one density
-histogram per quantity of interest.
+but with a reduced budget grid and sample counts, so it finishes in
+seconds (about 5 s on a 2-core machine). Outputs land in demo_results/
+under the current directory: truth.json, convergence.csv, and one
+density histogram per quantity of interest.
 
 Run:  python3 demos/convergence_study.py
 """

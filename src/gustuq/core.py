@@ -24,7 +24,7 @@ __all__ = [
     "to_standard",
     "from_standard",
     "latin_hypercube",
-    "uniform_standard_samples",
+    "sample_surrogate",
     "uniform_physical_samples",
     "nearest_rank_quantile",
     "risk_from_samples",
@@ -222,10 +222,14 @@ def latin_hypercube(n: int, space: InputSpace, seed: int) -> np.ndarray:
     return lo + u * (hi - lo)
 
 
-def uniform_standard_samples(n: int, d: int, seed: int, *tags) -> np.ndarray:
-    """n independent uniform points on [-1, 1]^d from a seeded substream."""
-    rng = substream(seed, "unif", *tags)
-    return rng.random((n, d)) * 2.0 - 1.0
+def sample_surrogate(predict, d: int, n_samples: int, seed: int, tag: str) -> np.ndarray:
+    """``predict`` at n_samples uniform points on [-1, 1]^d from substream (seed, tag).
+
+    Every surrogate-sampling entry point draws its cloud here, under its own tag.
+    """
+    if n_samples < 1:
+        raise ValueError(f"{tag}: n_samples must be at least 1, got {n_samples}")
+    return predict(substream(seed, tag).random((n_samples, d)) * 2.0 - 1.0)
 
 
 def uniform_physical_samples(n: int, space: InputSpace, seed: int, *tags) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import KroghInterpolator
 
-from .core import InputSpace, UncertainInput, nearest_rank_quantile, substream
+from .core import InputSpace, UncertainInput, nearest_rank_quantile, sample_surrogate
 from .pce import legendre_table
 
 __all__ = [
@@ -261,7 +261,5 @@ def dr_moments(approx: UDRApprox) -> tuple[float, float]:
 def dr_quantile(approx: UDRApprox, p: float, n_samples: int = 10**6,
                 seed: int = 0) -> float:
     """Nearest-rank quantile of the additive chaos surrogate, seeded sampling."""
-    rng = substream(seed, "dr-quantile")
-    d = approx.space.dimension
-    xi = rng.random((n_samples, d)) * 2.0 - 1.0
-    return nearest_rank_quantile(approx(xi), p)
+    samples = sample_surrogate(approx, approx.space.dimension, n_samples, seed, "dr-quantile")
+    return nearest_rank_quantile(samples, p)

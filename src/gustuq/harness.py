@@ -11,14 +11,16 @@ import csv
 import json
 import logging
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
+# substream stays bound here for the benchmark tracer's import-site tests.
 from .core import (CountingOracle, InputSpace, QOI_NAMES, RiskMeasures,
                    UncertainInput, default_input_space, latin_hypercube,
-                   substream, to_standard)
+                   sample_surrogate, substream, to_standard)
 from .dimred import dr_moments, dr_quantile, gudr_build, udr_build
 from .gust import GustOracle, SimulationConfig, WingModel
 from .kriging import KrigingModel, kriging_fit, kriging_risk
@@ -40,9 +42,6 @@ __all__ = [
 METHODS = ("nipc", "kriging", "mc", "udr", "gudr")
 MEASURES = ("mean", "std_dev", "p95")
 
-CSV_COLUMNS = ("method", "qoi", "measure", "budget", "estimate",
-               "rel_error", "wall_time_s", "status")
-
 _SIM_KEYS = ("time_step", "final_time", "newmark_beta", "newmark_gamma")
 _SCALAR_KEYS = ("air_density", "gust_onset_time", "seed", "quantile",
                 "truth_train", "truth_surrogate_samples", "truth_check_samples",
@@ -53,6 +52,10 @@ _COUNT_FIELDS = ("truth_train", "truth_surrogate_samples", "truth_check_samples"
                  "surrogate_samples", "bins")
 
 _log = logging.getLogger(__name__)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,13 @@ class StudyConfig:
     timing: bool = False
 
     def __post_init__(self):
+        for name in ("seed",) + _COUNT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:  # substream's SeedSequence takes non-negative entropy only
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not all(map(_is_int, self.budgets)):
+            raise ValueError(f"budgets must be integers, got {self.budgets}")
         if list(self.budgets) != sorted(set(self.budgets)):
             raise ValueError("budgets must be strictly increasing")
         if self.budgets and self.budgets[0] < 1:
@@ -158,18 +168,8 @@ def run_ground_truth(config: StudyConfig, oracle=None) -> GroundTruth:
     3 of its approximate standard error), otherwise the run aborts.
     """
     oracle = oracle or build_oracle(config)
-    points = latin_hypercube(config.truth_train, config.space, config.seed + 101)
-    values = oracle.evaluate_batch(points)
-    xi = to_standard(points, config.space)
-
-    models = []
-    risks = []
-    for j in range(2):
-        model = kriging_fit(xi, values[:, j])
-        models.append(model)
-        risks.append(kriging_risk(model, config.quantile,
-                                  config.truth_surrogate_samples, config.seed))
-
+    models, risks = _kriging(oracle, config, config.truth_train, config.seed + 101,
+                             config.truth_surrogate_samples)
     mc = mc_estimate(oracle, config.space, config.truth_check_samples,
                      config.seed + 707, config.quantile)
     check = {"n_check": config.truth_check_samples, "qois": {}}
@@ -194,7 +194,7 @@ def run_ground_truth(config: StudyConfig, oracle=None) -> GroundTruth:
                 f"std gap {std_gap:.3g} vs {std_tol:.3g}); "
                 "increase the ground-truth training budget"
             )
-    return GroundTruth(risk=(risks[0], risks[1]), models=(models[0], models[1]),
+    return GroundTruth(risk=risks, models=models,
                        n_train=config.truth_train, seed=config.seed, check=check)
 
 
@@ -210,34 +210,40 @@ def _nipc_degree(budget: int, d: int, max_degree: int = 6) -> int:
     return best
 
 
+def _design(oracle, space, n, seed):
+    points = latin_hypercube(n, space, seed)
+    return to_standard(points, space), oracle.evaluate_batch(points)
+
+
+def _kriging(oracle, config, n, design_seed, n_samples):
+    """The ground truth's and the kriging cells' path: (models, risks), one per QoI."""
+    xi, values = _design(oracle, config.space, n, design_seed)
+    models = tuple(kriging_fit(xi, column) for column in values.T)
+    return models, tuple(kriging_risk(m, config.quantile, n_samples, config.seed) for m in models)
+
+
+def _moments_and_p95(surrogates, moments, quantile, config):
+    """Per QoI: (mean, std) by ``moments``, p95 by ``quantile``; ``surrogates`` read lazily."""
+    return {name: RiskMeasures(*moments(surrogate),
+                               quantile(surrogate, config.quantile,
+                                        config.surrogate_samples, config.seed))
+            for name, surrogate in zip(QOI_NAMES, surrogates)}
+
+
 def _run_nipc(counting, config, budget):
     d = config.space.dimension
     p = _nipc_degree(budget, d)
     if p < 1:
         raise ValueError(f"budget {budget} cannot support a degree-1 chaos fit in d={d}")
-    points = latin_hypercube(budget, config.space, config.seed + budget)
-    values = counting.evaluate_batch(points)
-    xi = to_standard(points, config.space)
-    out = {}
-    for j, name in enumerate(QOI_NAMES):
-        surrogate = fit_regression(xi, values[:, j], p, config.space)
-        mean, std = pce_moments(surrogate)
-        q = pce_quantile(surrogate, config.quantile,
-                         config.surrogate_samples, config.seed)
-        out[name] = RiskMeasures(mean, std, q)
-    return out
+    xi, values = _design(counting, config.space, budget, config.seed + budget)
+    return _moments_and_p95((fit_regression(xi, column, p, config.space) for column in values.T),
+                            pce_moments, pce_quantile, config)
 
 
 def _run_kriging(counting, config, budget):
-    points = latin_hypercube(budget, config.space, config.seed + budget)
-    values = counting.evaluate_batch(points)
-    xi = to_standard(points, config.space)
-    out = {}
-    for j, name in enumerate(QOI_NAMES):
-        model = kriging_fit(xi, values[:, j])
-        out[name] = kriging_risk(model, config.quantile,
-                                 config.surrogate_samples, config.seed)
-    return out
+    _, risks = _kriging(counting, config, budget, config.seed + budget,
+                        config.surrogate_samples)
+    return dict(zip(QOI_NAMES, risks))
 
 
 def _run_mc(counting, config, budget):
@@ -259,13 +265,7 @@ def _gudr_k(budget: int, d: int) -> int:
 def _run_dr(build, k_rule, counting, config, budget):
     """UDR or GUDR: ``build`` with k = k_rule(budget, d) slice nodes per input."""
     approxes = build(counting, config.space, k_rule(budget, config.space.dimension))
-    out = {}
-    for name, approx in zip(QOI_NAMES, approxes):
-        mean, std = dr_moments(approx)
-        q = dr_quantile(approx, config.quantile,
-                        config.surrogate_samples, config.seed)
-        out[name] = RiskMeasures(mean, std, q)
-    return out
+    return _moments_and_p95(approxes, dr_moments, dr_quantile, config)
 
 
 # The DR builds are named inside the lambdas, so each call looks them up on
@@ -293,6 +293,9 @@ class ConvergenceRecord:
     rel_error: float
     wall_time_s: float
     status: str  # "ok" or "failed"
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ConvergenceRecord))
 
 
 def run_convergence(config: StudyConfig, truth: GroundTruth | None = None,
@@ -337,8 +340,7 @@ def run_convergence(config: StudyConfig, truth: GroundTruth | None = None,
                         ref = getattr(truth_by_qoi[qoi], measure)
                         rel = abs(est - ref) / abs(ref)
                     else:
-                        est = math.nan
-                        rel = math.nan
+                        est = rel = math.nan
                     records.append(ConvergenceRecord(
                         method=method, qoi=qoi, measure=measure,
                         budget=spent, estimate=est, rel_error=rel,
@@ -355,19 +357,13 @@ def write_convergence_csv(records, path) -> None:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([r.method, r.qoi, r.measure, r.budget,
-                             _fmt(r.estimate), _fmt(r.rel_error),
-                             _fmt(r.wall_time_s), r.status])
+            writer.writerow([_fmt(v) if isinstance(v, float) else v
+                             for v in astuple(r)])
 
 
 def write_convergence_json(records, path) -> None:
     with open(path, "w") as f:
-        json.dump([{
-            "method": r.method, "qoi": r.qoi, "measure": r.measure,
-            "budget": r.budget, "estimate": r.estimate,
-            "rel_error": r.rel_error, "wall_time_s": r.wall_time_s,
-            "status": r.status,
-        } for r in records], f, indent=2)
+        json.dump([asdict(r) for r in records], f, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +377,8 @@ def export_pdf_data(model: KrigingModel, n_samples: int = 10**6, bins: int = 100
     Returns (bin_centers, densities); the densities integrate to one over
     the sampled range.
     """
-    rng = substream(seed, "pdf")
-    d = model.train_points.shape[1]
-    xi = rng.random((n_samples, d)) * 2.0 - 1.0
-    samples = model.predict(xi)
+    samples = sample_surrogate(model.predict, model.train_points.shape[1], n_samples,
+                               seed, "pdf")
     lo, hi = samples.min(), samples.max()
     if hi == lo:  # constant model: one occupied bin
         hi = lo + max(abs(lo), 1.0) * 1e-12

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import RiskMeasures, nearest_rank_quantile, risk_from_samples, substream
+# nearest_rank_quantile stays bound here for the benchmark tracer's import-site tests.
+from .core import RiskMeasures, nearest_rank_quantile, risk_from_samples, sample_surrogate
 from .pce import FitError
 
 __all__ = ["KrigingModel", "kriging_fit", "kriging_predict", "kriging_risk"]
@@ -171,17 +172,20 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
     """Fit ordinary kriging on standard points by concentrated MLE.
 
     The lengthscale search covers a 5-per-dimension log grid on
-    [1e-2, 1e2] refined by coordinate descent in log space; the nugget
-    escalates tenfold (up to 1e-4) if every factorization fails.
+    [1e-2, 1e2] refined by coordinate descent in log space; the positive nugget
+    escalates tenfold (up to 1e-4) if every factorization fails. The model
+    keeps copies of ``points`` and ``values``.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.asarray(values, dtype=float)
+    points = np.array(points, dtype=float, ndmin=2)
+    values = np.array(values, dtype=float)
     n, d = points.shape
     if n < d + 2:
         raise ValueError(f"need at least d + 2 = {d + 2} training points, got {n}")
     if values.shape != (n,):
         raise ValueError("values must be a flat array matching the points")
     _require_finite("kriging_fit", points=points, values=values, nugget=nugget)
+    if nugget <= 0.0:  # the tenfold escalation below could never leave zero
+        raise ValueError(f"kriging_fit: nugget is {nugget}; it must be positive")
     sq = _sq_dists(points, points)  # shared by every likelihood evaluation
     diffs = sq.sum(axis=2)
     np.fill_diagonal(diffs, np.inf)
@@ -306,7 +310,6 @@ def kriging_predict(model: KrigingModel, xi: np.ndarray, chunk: int = 2000) -> n
 def kriging_risk(model: KrigingModel, p: float = 0.95, n_samples: int = 10**6,
                  seed: int = 0) -> RiskMeasures:
     """Risk measures from seeded uniform sampling of the fitted surrogate."""
-    d = model.train_points.shape[1]
-    rng = substream(seed, "kriging-risk")
-    xi = rng.random((n_samples, d)) * 2.0 - 1.0
-    return risk_from_samples(kriging_predict(model, xi), p)
+    samples = sample_surrogate(model.predict, model.train_points.shape[1], n_samples,
+                               seed, "kriging-risk")
+    return risk_from_samples(samples, p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputSpace, UncertainInput, nearest_rank_quantile, substream
+from .core import InputSpace, UncertainInput, nearest_rank_quantile, sample_surrogate
 
 __all__ = [
     "FitError",
@@ -159,7 +159,6 @@ def pce_quantile(surrogate: PCESurrogate, p: float, n_samples: int = 10**6,
     """Nearest-rank quantile of the surrogate sampled at seeded uniform points."""
     if n_samples < 10**4:
         raise ValueError("quantile sampling needs at least 1e4 samples")
-    rng = substream(seed, "pce-quantile")
-    d = surrogate.space.dimension
-    xi = rng.random((n_samples, d)) * 2.0 - 1.0
-    return nearest_rank_quantile(surrogate.predict(xi), p)
+    samples = sample_surrogate(surrogate.predict, surrogate.space.dimension, n_samples,
+                               seed, "pce-quantile")
+    return nearest_rank_quantile(samples, p)

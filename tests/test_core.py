@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gustuq import (InputSpace, UncertainInput, from_standard, latin_hypercube,
-                    nearest_rank_quantile, risk_from_samples, to_standard)
-from gustuq.core import uniform_physical_samples
+from gustuq import (InputSpace, UncertainInput, dr_quantile, export_pdf_data,
+                    fit_regression, from_standard, kriging_fit, kriging_risk,
+                    latin_hypercube, nearest_rank_quantile, pce_quantile,
+                    risk_from_samples, to_standard, udr_build_scalar)
+from gustuq.core import substream, uniform_physical_samples
 
 
 def test_bounds_map_to_standard_corners(space):
@@ -109,3 +111,68 @@ def test_uniform_sampling_prefix_stable(space):
     short = uniform_physical_samples(100, space, 3)
     long = uniform_physical_samples(200, space, 3)
     np.testing.assert_array_equal(long[:100], short)
+
+
+# -- surrogate sampling ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def surrogates():
+    space = InputSpace((UncertainInput("a", 0.0, 2.0), UncertainInput("b", -1.0, 3.0),
+                        UncertainInput("c", 5.0, 6.0)))
+    xi = to_standard(latin_hypercube(20, space, 4), space)
+    values = np.sin(2.0 * xi[:, 0]) + xi[:, 1] * xi[:, 2]
+    return {
+        "kriging": kriging_fit(xi, values),
+        "pce": fit_regression(xi, values, 2, space),
+        "dr": udr_build_scalar(lambda x: float(np.sin(x).sum()), space, 4),
+    }
+
+
+def _histogram(samples, bins):
+    densities, edges = np.histogram(samples, bins=bins, range=(samples.min(), samples.max()),
+                                    density=True)
+    return 0.5 * (edges[:-1] + edges[1:]), densities
+
+
+# tag -> (surrogate, entry point at (n, seed), its reduction of the sampled values)
+ENTRY_POINTS = {
+    "kriging-risk": ("kriging", lambda s, n, seed: kriging_risk(s, 0.9, n, seed),
+                     lambda v: risk_from_samples(v, 0.9)),
+    "pce-quantile": ("pce", lambda s, n, seed: pce_quantile(s, 0.9, n, seed),
+                     lambda v: nearest_rank_quantile(v, 0.9)),
+    "dr-quantile": ("dr", lambda s, n, seed: dr_quantile(s, 0.9, n, seed),
+                    lambda v: nearest_rank_quantile(v, 0.9)),
+    "pdf": ("kriging", lambda s, n, seed: export_pdf_data(s, n, 30, seed),
+            lambda v: _histogram(v, 30)),
+}
+
+
+def _predict(surrogate):
+    return surrogate if callable(surrogate) else surrogate.predict
+
+
+@pytest.mark.parametrize("tag", sorted(ENTRY_POINTS))
+def test_each_entry_point_reduces_its_own_tagged_cloud_bit_for_bit(surrogates, tag):
+    kind, entry, reduce = ENTRY_POINTS[tag]
+    n, seed = 10**4, 7
+    cloud = substream(seed, tag).random((n, 3)) * 2.0 - 1.0
+    got = entry(surrogates[kind], n, seed)
+    want = reduce(_predict(surrogates[kind])(cloud))
+    if tag == "pdf":
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("tag", ["kriging-risk", "dr-quantile", "pdf"])
+@pytest.mark.parametrize("n", [0, -5])
+def test_sampling_rejects_fewer_than_one_sample_by_name(surrogates, tag, n):
+    kind, entry, _ = ENTRY_POINTS[tag]
+    with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n}"):
+        entry(surrogates[kind], n, 0)
+
+
+def test_pce_quantile_keeps_its_sample_floor(surrogates):
+    with pytest.raises(ValueError, match="at least 1e4 samples"):
+        pce_quantile(surrogates["pce"], 0.9, 10**4 - 1, 0)

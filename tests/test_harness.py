@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,31 @@ def test_config_rejects_quantile_outside_unit_interval(quantile):
 def test_config_rejects_non_positive_counts(key, value):
     with pytest.raises(ValueError, match=key):
         StudyConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["seed", "truth_train", "truth_surrogate_samples",
+                                 "truth_check_samples", "surrogate_samples", "bins"])
+@pytest.mark.parametrize("value", [1e4, 2.5, True, "100"])
+def test_config_requires_integer_fields_by_name(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+        StudyConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("budgets", [[8.0, 16], [True, 8], [8, 16.5]])
+def test_config_requires_integer_budgets(budgets):
+    with pytest.raises(ValueError, match=re.escape(
+            f"budgets must be integers, got {tuple(budgets)}")):
+        StudyConfig.from_dict({"budgets": budgets})
+
+
+def test_config_rejects_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        StudyConfig(seed=-1)
+
+
+def test_config_accepts_numpy_integers():
+    config = StudyConfig(seed=np.int64(3), budgets=(np.int32(8), 16), bins=np.uint8(10))
+    assert (config.seed, config.budgets[0], config.bins) == (3, 8, 10)
 
 
 def test_ground_truth_constant_model(constant_oracle):

@@ -255,6 +255,30 @@ def test_rejects_non_finite_nugget_by_name(line, nugget):
         kriging_fit(pts, pts[:, 0], nugget=nugget)
 
 
+@pytest.mark.parametrize("nugget", [0.0, -1e-10])
+def test_rejects_non_positive_nugget_by_name(nugget):
+    # at nugget 0 the tenfold escalation never grows, so this design retried forever
+    pts = np.array([[0.0], [1e-9], [0.5], [1.0]])
+    with pytest.raises(ValueError, match=re.escape(
+            f"kriging_fit: nugget is {nugget}; it must be positive")):
+        kriging_fit(pts, np.arange(4.0), nugget=nugget)
+
+
+def test_fit_keeps_its_own_copy_of_the_training_data():
+    rng = np.random.default_rng(18)
+    pts = rng.uniform(-1.0, 1.0, (20, 2))
+    values = np.sin(3.0 * pts).sum(axis=1)
+    want = _fresh_fit(pts.copy(), values.copy())
+    model = _fresh_fit(pts, values)
+    _assert_same_model(model, want)
+    at = np.array([0.1, 0.2])
+    before = model.predict(at)
+    pts[:] = rng.uniform(-1.0, 1.0, pts.shape)
+    values[:] = 10.0
+    assert model.predict(at) == before
+    _assert_same_model(model, want)
+
+
 def test_from_json_rejects_non_finite_fields_by_name(space):
     pts = std_lhs(10, space, 14)
     doc = json.loads(kriging_fit(pts, pts.sum(axis=1)).to_json())

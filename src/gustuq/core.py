@@ -222,14 +222,22 @@ def latin_hypercube(n: int, space: InputSpace, seed: int) -> np.ndarray:
     return lo + u * (hi - lo)
 
 
+_SAMPLE_CHUNK = 2000  # rows per predict call: bounds every surrogate's working arrays
+
+
 def sample_surrogate(predict, d: int, n_samples: int, seed: int, tag: str) -> np.ndarray:
     """``predict`` at n_samples uniform points on [-1, 1]^d from substream (seed, tag).
 
     Every surrogate-sampling entry point draws its cloud here, under its own tag.
+    ``predict`` sees consecutive blocks of at most ``_SAMPLE_CHUNK`` rows.
     """
     if n_samples < 1:
         raise ValueError(f"{tag}: n_samples must be at least 1, got {n_samples}")
-    return predict(substream(seed, tag).random((n_samples, d)) * 2.0 - 1.0)
+    cloud = substream(seed, tag).random((n_samples, d)) * 2.0 - 1.0
+    out = np.empty(n_samples)
+    for start in range(0, n_samples, _SAMPLE_CHUNK):
+        out[start:start + _SAMPLE_CHUNK] = predict(cloud[start:start + _SAMPLE_CHUNK])
+    return out
 
 
 def uniform_physical_samples(n: int, space: InputSpace, seed: int, *tags) -> np.ndarray:

@@ -344,6 +344,9 @@ class GustOracle:
         self.config = config or SimulationConfig()
         self.air_density = air_density
         self.gust_onset_time = gust_onset_time
+        if space is not None and space.names != _ORACLE_INPUTS:
+            raise ValueError(f"GustOracle reads its input columns as {_ORACLE_INPUTS}; "
+                             f"the input space given is {space.names}")
         self.space = space or default_input_space()
 
     def _check_oracle_points(self, points: np.ndarray, caller: str) -> np.ndarray:

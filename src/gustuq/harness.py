@@ -107,6 +107,9 @@ class StudyConfig:
                              f"valid keys are {sorted(_CONFIG_KEYS)}")
         kwargs = {}
         if "inputs" in data:
+            for i, entry in enumerate(data["inputs"]):
+                if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                    raise ValueError(f"inputs[{i}] must be [name, lower, upper], got {entry!r}")
             kwargs["space"] = InputSpace(tuple(
                 UncertainInput(name, lo, hi) for name, lo, hi in data["inputs"]))
         if "wing" in data:
@@ -362,8 +365,11 @@ def write_convergence_csv(records, path) -> None:
 
 
 def write_convergence_json(records, path) -> None:
+    """Records as standard JSON: non-finite numbers (a failed cell's NaN) become null."""
+    rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in asdict(r).items()} for r in records]
     with open(path, "w") as f:
-        json.dump([asdict(r) for r in records], f, indent=2)
+        json.dump(rows, f, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -270,18 +270,16 @@ def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
                         trend=beta, nugget=nugget, _alpha=alpha)
 
 
-def kriging_predict(model: KrigingModel, xi: np.ndarray, chunk: int = 2000) -> np.ndarray:
+def kriging_predict(model: KrigingModel, xi: np.ndarray) -> np.ndarray:
     """Kriging mean prediction at standard points (n, d) or a single (d,) point.
 
     The scaled squared distance expands as |sqrt(theta) a|^2 + |sqrt(theta) b|^2
-    - 2 (theta a).b; both sides carry two extra columns so that one GEMM per
-    chunk yields its negative, and the only (chunk, n_train) array is one
-    buffer reused in place for every chunk.
+    - 2 (theta a).b; both sides carry two extra columns so that one GEMM yields
+    its negative in the only (n, n_train) array; ``sample_surrogate`` bounds n.
     """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
     pts = np.atleast_2d(xi)
-    m = pts.shape[0]
     train, theta = model.train_points, model.lengthscales
     n, d = train.shape
     # -|sqrt(theta) (a - b)|^2 = [2 theta a, -1, -|sqrt(theta) a|^2] . [b, |sqrt(theta) b|^2, 1]
@@ -289,20 +287,14 @@ def kriging_predict(model: KrigingModel, xi: np.ndarray, chunk: int = 2000) -> n
     right[:d] = train.T
     right[d] = train ** 2 @ theta
     right[d + 1] = 1.0
-    rows = min(chunk, m)
-    left = np.empty((rows, d + 2))
+    left = np.empty((pts.shape[0], d + 2))
+    np.multiply(pts, 2.0 * theta, out=left[:, :d])
     left[:, d] = -1.0
-    buf = np.empty((rows, n))
-    out = np.empty(m)
-    for start in range(0, m, chunk):
-        block = pts[start:start + chunk]
-        k = block.shape[0]
-        np.multiply(block, 2.0 * theta, out=left[:k, :d])
-        np.matmul(block ** 2, -theta, out=left[:k, d + 1])
-        r = np.matmul(left[:k], right, out=buf[:k])
-        np.minimum(r, 0.0, out=r)  # rounding may leave a coincident pair just above 0
-        np.exp(r, out=r)
-        np.matmul(r, model._alpha, out=out[start:start + k])
+    np.matmul(pts ** 2, -theta, out=left[:, d + 1])
+    r = left @ right
+    np.minimum(r, 0.0, out=r)  # rounding may leave a coincident pair just above 0
+    np.exp(r, out=r)
+    out = r @ model._alpha
     out += model.trend
     return float(out[0]) if single else out
 

@@ -7,7 +7,8 @@ from gustuq import (InputSpace, UncertainInput, dr_quantile, export_pdf_data,
                     fit_regression, from_standard, kriging_fit, kriging_risk,
                     latin_hypercube, nearest_rank_quantile, pce_quantile,
                     risk_from_samples, to_standard, udr_build_scalar)
-from gustuq.core import substream, uniform_physical_samples
+from gustuq.core import (_SAMPLE_CHUNK, sample_surrogate, substream,
+                         uniform_physical_samples)
 
 
 def test_bounds_map_to_standard_corners(space):
@@ -151,10 +152,12 @@ def _predict(surrogate):
     return surrogate if callable(surrogate) else surrogate.predict
 
 
-@pytest.mark.parametrize("tag", sorted(ENTRY_POINTS))
-def test_each_entry_point_reduces_its_own_tagged_cloud_bit_for_bit(surrogates, tag):
+# n = 10**4 is a whole number of sampling chunks; 10**4 + 37 is not
+@pytest.mark.parametrize("tag, n", [pytest.param(tag, n, id=tag if n == 10**4 else f"{tag}-{n}")
+                                    for n in (10**4, 10**4 + 37) for tag in sorted(ENTRY_POINTS)])
+def test_each_entry_point_reduces_its_own_tagged_cloud_bit_for_bit(surrogates, tag, n):
     kind, entry, reduce = ENTRY_POINTS[tag]
-    n, seed = 10**4, 7
+    seed = 7
     cloud = substream(seed, tag).random((n, 3)) * 2.0 - 1.0
     got = entry(surrogates[kind], n, seed)
     want = reduce(_predict(surrogates[kind])(cloud))
@@ -163,6 +166,21 @@ def test_each_entry_point_reduces_its_own_tagged_cloud_bit_for_bit(surrogates, t
             np.testing.assert_array_equal(g, w)
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("n", [1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK - 7])
+def test_sampling_hands_predict_the_cloud_in_bounded_blocks_in_order(n):
+    blocks = []
+
+    def spy(xi):
+        blocks.append(xi.copy())
+        return xi.sum(axis=1)
+
+    got = sample_surrogate(spy, 3, n, 5, "spy")
+    cloud = substream(5, "spy").random((n, 3)) * 2.0 - 1.0
+    assert all(1 <= len(b) <= _SAMPLE_CHUNK for b in blocks)
+    np.testing.assert_array_equal(np.vstack(blocks), cloud)
+    np.testing.assert_array_equal(got, np.concatenate([b.sum(axis=1) for b in blocks]))
 
 
 @pytest.mark.parametrize("tag", ["kriging-risk", "dr-quantile", "pdf"])

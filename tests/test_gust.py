@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gustuq import (FlightCondition, GustOracle, GustProfile, QoIRecord,
-                    SimulationConfig, TimeHistory, WingModel, gradient,
+from gustuq import (FlightCondition, GustOracle, GustProfile, InputSpace, QoIRecord,
+                    SimulationConfig, TimeHistory, UncertainInput, WingModel, gradient,
                     gust_velocity, qois, simulate)
 from gustuq.gust import _gust_shape, _time_grid, newmark_response
 
@@ -161,6 +163,29 @@ def test_window_is_checked_against_the_last_time_node():
     with pytest.raises(ValueError,
                        match=r"window ending at 0\.25 s; the time grid ends at 0\.2 s"):
         coarse.evaluate(np.array([40.0, 6.0, 10.0]))
+
+
+SWAPPED = (("peak_gust_velocity", 5.0, 15.0), ("gust_length", 4.0, 8.0),
+           ("freestream_velocity", 40.0, 60.0))
+RENAMED = (("freestream_velocity", 40.0, 60.0), ("gust_length", 4.0, 8.0),
+           ("peak", 5.0, 15.0))
+
+
+@pytest.mark.parametrize("inputs", [SWAPPED, SWAPPED[1:], RENAMED],
+                         ids=["swapped", "two-inputs", "renamed"])
+def test_oracle_rejects_an_input_space_it_would_misread(inputs):
+    space = InputSpace(tuple(UncertainInput(*u) for u in inputs))
+    given_names = re.escape(str(space.names))
+    with pytest.raises(ValueError, match=r"\('freestream_velocity', 'gust_length', "
+                                         rf"'peak_gust_velocity'\).*{given_names}"):
+        GustOracle(space=space)
+
+
+def test_oracle_accepts_its_inputs_on_other_bounds():
+    space = InputSpace((UncertainInput("freestream_velocity", 45.0, 55.0),
+                        UncertainInput("gust_length", 5.0, 7.0),
+                        UncertainInput("peak_gust_velocity", 0.0, 20.0)))
+    assert GustOracle(space=space).space is space
 
 
 # (entry point, its input, the row it reports); at V_inf = 500 the 4 m gust

@@ -54,6 +54,31 @@ def test_config_from_dict_overrides():
     assert config.budgets == (10, 20)
 
 
+@pytest.mark.parametrize("entry, index", [(["a", 1], 0), ("abc", 1), (["a", 0, 1, 2], 1)])
+def test_config_from_dict_names_a_malformed_inputs_entry(entry, index):
+    inputs = [["x", 0, 1], entry] if index else [entry]
+    with pytest.raises(ValueError, match=re.escape(
+            f"inputs[{index}] must be [name, lower, upper], got {entry!r}")):
+        StudyConfig.from_dict({"inputs": inputs})
+
+
+SWAPPED_INPUTS = [["peak_gust_velocity", 5, 15], ["gust_length", 4, 8],
+                  ["freestream_velocity", 40, 60]]
+
+
+def test_build_oracle_rejects_inputs_the_gust_oracle_would_misread():
+    config = StudyConfig.from_dict({"inputs": SWAPPED_INPUTS})
+    with pytest.raises(ValueError, match="peak_gust_velocity', 'gust_length', "
+                                         "'freestream_velocity'"):
+        build_oracle(config)
+
+
+def test_other_inputs_still_run_against_a_test_oracle(constant_oracle):
+    config = dataclasses.replace(StudyConfig.from_dict({"inputs": SWAPPED_INPUTS}), **SMALL)
+    truth = run_ground_truth(config, oracle=constant_oracle)
+    assert truth.risk[0].mean == pytest.approx(0.25, rel=1e-9)
+
+
 def test_config_from_dict_names_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown config keys \['budget', 'quantlie'\];"):
         StudyConfig.from_dict({"budget": [8, 16], "seed": 1, "quantlie": 0.9})
@@ -247,11 +272,26 @@ def test_cli_converge_deterministic(config_file, tmp_path):
     assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def test_cli_converge_json_format(config_file, tmp_path):
     assert cli_main(["converge", "--config", str(config_file), "--out", str(tmp_path),
                      "--format", "json", "--methods", "mc"]) == 0
     records = json.loads((tmp_path / "convergence.json").read_text())
     assert {r["method"] for r in records} == {"mc"}
+    # budget 4 is too small for some cells: their NaN estimate and error are written as null
+    doc = json.loads(config_file.read_text()) | {"budgets": [4, 8]}
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(doc))
+    assert cli_main(["converge", "--config", str(small), "--out", str(tmp_path),
+                     "--format", "json", "--methods", "nipc,udr"]) == 0
+    records = json.loads((tmp_path / "convergence.json").read_text(),
+                         parse_constant=_reject_constant)
+    failed = [r for r in records if r["status"] == "failed"]
+    assert failed and all(r["estimate"] is None and r["rel_error"] is None for r in failed)
+    assert all(isinstance(r["estimate"], float) for r in records if r["status"] == "ok")
 
 
 def test_cli_pdf(config_file, tmp_path):

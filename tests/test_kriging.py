@@ -192,8 +192,8 @@ def _nugget_ladder(start=1e-10):
 
 
 @settings(max_examples=200, deadline=None)
-@given(design=designs(), chunk=st.integers(1, 64))
-def test_predict_matches_direct_kernel(design, chunk):
+@given(design=designs())
+def test_predict_matches_direct_kernel(design):
     pts, theta, rng = design
     n, d = pts.shape
     model = KrigingModel(train_points=pts, train_values=rng.normal(size=n),
@@ -212,7 +212,7 @@ def test_predict_matches_direct_kernel(design, chunk):
     want = model.trend + r @ model._alpha
     # rounding scale of the predictor's dot product
     scale = abs(model.trend) + r @ np.abs(model._alpha)
-    got = kriging_predict(model, query, chunk=chunk)
+    got = kriging_predict(model, query)
     assert np.all(np.abs(got - want) <= 1e-10 * scale)
     assert np.array_equal(got[-5:], np.full(5, model.trend))
 

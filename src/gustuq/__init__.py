@@ -12,15 +12,14 @@ from .core import (CountingOracle, InputSpace, QoIRecord,
                    risk_from_samples, to_standard)
 from .dimred import (UDRApprox, dr_moments, dr_quantile, gauss_legendre,
                      gudr_build, gudr_build_scalar, udr_build, udr_build_scalar)
-from .gust import (FlightCondition, GustOracle, GustProfile, SimulationConfig,
-                   TimeHistory, WingModel, gradient, gust_velocity, qois,
-                   simulate)
+from .gust import (GustOracle, GustProfile, SimulationConfig, TimeHistory,
+                   WingModel, gust_velocity, qois)
 from .harness import (ConvergenceRecord, GroundTruth, StudyConfig,
                       build_oracle, export_pdf_data, run_convergence,
                       run_ground_truth)
 from .kriging import KrigingModel, kriging_fit, kriging_predict, kriging_risk
 from .montecarlo import MCResult, mc_estimate
-from .pce import (FitError, PCESurrogate, fit_regression, legendre_orthonormal,
-                  pce_moments, pce_quantile, total_degree_basis)
+from .pce import (FitError, PCESurrogate, fit_regression, pce_moments,
+                  pce_quantile, total_degree_basis)
 
 __version__ = "0.1.0"

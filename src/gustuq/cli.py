@@ -18,19 +18,20 @@ from .harness import (StudyConfig, build_oracle, export_pdf_data,
                       write_pdf_csv)
 
 
-def _load_config(args) -> StudyConfig:
-    if args.config:
-        config = StudyConfig.from_json_file(args.config)
-    else:
-        config = StudyConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "methods", None):
-        overrides["methods"] = tuple(args.methods.split(","))
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+def _load_config(args):
+    """(config, oracle) for the subcommand; a config it cannot use is a usage error."""
+    try:
+        config = StudyConfig.from_json_file(args.config) if args.config else StudyConfig()
+        overrides = {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if getattr(args, "methods", None):
+            overrides["methods"] = tuple(args.methods.split(","))
+        if overrides:
+            config = dataclasses.replace(config, **overrides)
+        return config, build_oracle(config)
+    except (ValueError, OSError) as exc:  # bad key or value, malformed JSON, missing file
+        args.usage_error(f"invalid configuration: {exc}")
 
 
 def _out_dir(args) -> Path:
@@ -47,9 +48,9 @@ def _write_truth(truth, out: Path) -> None:
 
 
 def cmd_truth(args) -> int:
-    config = _load_config(args)
+    config, oracle = _load_config(args)
     out = _out_dir(args)
-    truth = run_ground_truth(config)
+    truth = run_ground_truth(config, oracle)
     _write_truth(truth, out)
     for name, risk in zip(QOI_NAMES, truth.risk):
         print(f"{name}: mean={risk.mean:.6g} std={risk.std_dev:.6g} p95={risk.p95:.6g}")
@@ -58,9 +59,8 @@ def cmd_truth(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    config = _load_config(args)
+    config, oracle = _load_config(args)
     out = _out_dir(args)
-    oracle = build_oracle(config)
     truth = run_ground_truth(config, oracle)
     _write_truth(truth, out)
     records = run_convergence(config, truth, oracle)
@@ -76,9 +76,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_pdf(args) -> int:
-    config = _load_config(args)
+    config, oracle = _load_config(args)
     out = _out_dir(args)
-    truth = run_ground_truth(config)
+    truth = run_ground_truth(config, oracle)
     _write_truth(truth, out)
     for name, model in zip(QOI_NAMES, truth.models):
         centers, densities = export_pdf_data(
@@ -91,9 +91,8 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
+    config, oracle = _load_config(args)
     out = _out_dir(args)
-    oracle = build_oracle(config)
     point = config.space.midpoint if args.point is None else args.point
     try:
         history = oracle.simulate(point)
@@ -131,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON study configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default="results", help="output directory")
+        p.set_defaults(usage_error=p.error)
 
     p_truth = sub.add_parser("truth", help="compute the kriging ground truth")
     common(p_truth)
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--point", type=_point,
                        help="comma-separated physical point V_inf,l_g,V_p, "
                             "default = input-space midpoint")
-    p_sim.set_defaults(func=cmd_simulate, usage_error=p_sim.error)
+    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 

@@ -23,15 +23,12 @@ from .core import QoIRecord, InputSpace, default_input_space
 
 __all__ = [
     "GustProfile",
-    "FlightCondition",
     "WingModel",
     "SimulationConfig",
     "TimeHistory",
     "gust_velocity",
     "newmark_response",
-    "simulate",
     "qois",
-    "gradient",
     "GustOracle",
 ]
 
@@ -51,18 +48,6 @@ class GustProfile:
             raise ValueError("gust length must be finite and positive")
         if not (math.isfinite(self.onset_time) and self.onset_time >= 0):
             raise ValueError("gust onset time must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class FlightCondition:
-    freestream_velocity: float  # m/s
-    air_density: float = 1.225  # kg/m^3
-
-    def __post_init__(self):
-        if not (math.isfinite(self.freestream_velocity) and self.freestream_velocity > 0):
-            raise ValueError("freestream velocity must be finite and positive")
-        if not (math.isfinite(self.air_density) and self.air_density > 0):
-            raise ValueError("air density must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -264,20 +249,6 @@ def _time_grid(config: SimulationConfig) -> np.ndarray:
     return np.arange(n_steps + 1) * config.time_step
 
 
-def _oracle_and_point(gust: GustProfile, flight: FlightCondition, wing: WingModel,
-                      config: SimulationConfig):
-    oracle = GustOracle(wing=wing, config=config, air_density=flight.air_density,
-                        gust_onset_time=gust.onset_time)
-    return oracle, [flight.freestream_velocity, gust.gust_length, gust.peak_velocity]
-
-
-def simulate(gust: GustProfile, flight: FlightCondition, wing: WingModel,
-             config: SimulationConfig) -> TimeHistory:
-    """Integrate the forced oscillator and return the full response history."""
-    oracle, x = _oracle_and_point(gust, flight, wing, config)
-    return oracle.simulate(x)
-
-
 def qois(history: TimeHistory) -> QoIRecord:
     """Signed maximum tip displacement and time-averaged strain energy."""
     if history.times.size == 0:
@@ -286,16 +257,6 @@ def qois(history: TimeHistory) -> QoIRecord:
         max_tip_displacement=float(history.tip_displacement.max()),
         avg_strain_energy=float(history.strain_energy.mean()),
     )
-
-
-def gradient(gust: GustProfile, flight: FlightCondition, wing: WingModel,
-             config: SimulationConfig) -> np.ndarray:
-    """2x3 gradient of (max tip displacement, avg strain energy) wrt (V_inf, l_g, V_p).
-
-    See ``GustOracle.gradient``.
-    """
-    oracle, x = _oracle_and_point(gust, flight, wing, config)
-    return oracle.gradient(x)
 
 
 # ---------------------------------------------------------------------------

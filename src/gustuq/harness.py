@@ -25,7 +25,7 @@ from .dimred import dr_moments, dr_quantile, gudr_build, udr_build
 from .gust import GustOracle, SimulationConfig, WingModel
 from .kriging import KrigingModel, kriging_fit, kriging_risk
 from .montecarlo import mc_estimate
-from .pce import fit_regression, pce_moments, pce_quantile
+from .pce import OVERSAMPLING, fit_regression, pce_moments, pce_quantile
 
 __all__ = [
     "StudyConfig",
@@ -42,20 +42,49 @@ __all__ = [
 METHODS = ("nipc", "kriging", "mc", "udr", "gudr")
 MEASURES = ("mean", "std_dev", "p95")
 
-_SIM_KEYS = ("time_step", "final_time", "newmark_beta", "newmark_gamma")
-_SCALAR_KEYS = ("air_density", "gust_onset_time", "seed", "quantile",
-                "truth_train", "truth_surrogate_samples", "truth_check_samples",
-                "surrogate_samples", "bins", "timing")
-_CONFIG_KEYS = frozenset(("inputs", "wing", "methods", "budgets")
-                         + _SIM_KEYS + _SCALAR_KEYS)
 _COUNT_FIELDS = ("truth_train", "truth_surrogate_samples", "truth_check_samples",
                  "surrogate_samples", "bins")
+_NIPC_MAX_DEGREE = 6
 
 _log = logging.getLogger(__name__)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_keys(data, known, what: str) -> None:
+    """Reject a non-object ``data`` or a key outside ``known``, naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {data!r}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; valid keys are {sorted(known)}")
+
+
+def _field_kwargs(cls, data: dict, prefix: str = "") -> dict:
+    """Keyword arguments for ``cls`` from the keys of ``data`` named after its fields.
+
+    A ``float`` field takes a number (not a boolean) and a ``tuple`` field
+    an array; anything else is a ValueError naming ``prefix + field``.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if f.type in (float, "float") and not _is_real(value):
+            raise ValueError(f"{prefix}{f.name} must be a number, got {value!r}")
+        if str(f.type).startswith("tuple"):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{prefix}{f.name} must be an array, got {value!r}")
+            value = tuple(value)
+        kwargs[f.name] = value
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -76,7 +105,6 @@ class StudyConfig:
     truth_check_samples: int = 10**5
     surrogate_samples: int = 10**6
     bins: int = 100
-    timing: bool = False
 
     def __post_init__(self):
         for name in ("seed",) + _COUNT_FIELDS:
@@ -95,35 +123,34 @@ class StudyConfig:
         for name in _COUNT_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        unknown = set(self.methods) - set(METHODS)
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}; pick from {METHODS}")
+            raise ValueError(f"unknown methods {unknown}; pick from {METHODS}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
-        unknown = sorted(set(data) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; "
-                             f"valid keys are {sorted(_CONFIG_KEYS)}")
-        kwargs = {}
+        """A config from its JSON document: ``inputs`` gives ``space``, ``wing`` the
+        ``WingModel`` fields, the ``SimulationConfig`` fields sit at top level, and
+        every other field goes by its own name."""
+        sim_keys = [f.name for f in fields(SimulationConfig)]
+        _check_keys(data, ["inputs"] + sim_keys
+                    + [f.name for f in fields(cls) if f.name not in ("space", "sim")], "config")
+        kwargs = _field_kwargs(cls, data)  # its raw ``wing``, if any, is replaced below
         if "inputs" in data:
+            if not isinstance(data["inputs"], (list, tuple)):
+                raise ValueError(f"inputs must be an array, got {data['inputs']!r}")
             for i, entry in enumerate(data["inputs"]):
-                if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                        and _is_real(entry[1]) and _is_real(entry[2])):
                     raise ValueError(f"inputs[{i}] must be [name, lower, upper], got {entry!r}")
             kwargs["space"] = InputSpace(tuple(
                 UncertainInput(name, lo, hi) for name, lo, hi in data["inputs"]))
         if "wing" in data:
-            kwargs["wing"] = WingModel(**data["wing"])
-        sim_keys = {k: data[k] for k in _SIM_KEYS if k in data}
-        if sim_keys:
-            kwargs["sim"] = SimulationConfig(**sim_keys)
-        for key in _SCALAR_KEYS:
-            if key in data:
-                kwargs[key] = data[key]
-        if "methods" in data:
-            kwargs["methods"] = tuple(data["methods"])
-        if "budgets" in data:
-            kwargs["budgets"] = tuple(data["budgets"])
+            _check_keys(data["wing"], [f.name for f in fields(WingModel)], "wing")
+            kwargs["wing"] = WingModel(**_field_kwargs(WingModel, data["wing"], "wing."))
+        sim = _field_kwargs(SimulationConfig, data)
+        if sim:
+            kwargs["sim"] = SimulationConfig(**sim)
         return cls(**kwargs)
 
     @classmethod
@@ -205,10 +232,10 @@ def run_ground_truth(config: StudyConfig, oracle=None) -> GroundTruth:
 # per-method estimators at a given budget
 
 
-def _nipc_degree(budget: int, d: int, max_degree: int = 6) -> int:
+def _nipc_degree(budget: int, d: int) -> int:
     best = 0
-    for p in range(1, max_degree + 1):
-        if 2 * math.comb(d + p, p) <= budget:
+    for p in range(1, _NIPC_MAX_DEGREE + 1):
+        if OVERSAMPLING * math.comb(d + p, p) <= budget:
             best = p
     return best
 
@@ -294,7 +321,6 @@ class ConvergenceRecord:
     budget: int  # actual oracle-evaluation count, gradients counted once each
     estimate: float
     rel_error: float
-    wall_time_s: float
     status: str  # "ok" or "failed"
 
 
@@ -306,8 +332,9 @@ def run_convergence(config: StudyConfig, truth: GroundTruth | None = None,
     """Sweep every configured method over the budget grid against ground truth.
 
     A method failure at one budget yields records flagged "failed" and a
-    logged warning naming its cause; the sweep continues. Reported budgets
-    are the wrapped oracle's exact invocation counts. A ground-truth
+    logged warning naming its cause; the sweep continues. Each cell logs
+    its method, budget, status, oracle cost and elapsed seconds at INFO.
+    Reported budgets are the wrapped oracle's exact invocation counts. A ground-truth
     measure of 0 leaves relative errors undefined and raises ValueError
     before the sweep starts.
     """
@@ -334,8 +361,9 @@ def run_convergence(config: StudyConfig, truth: GroundTruth | None = None,
                              method, budget, type(exc).__name__, exc)
                 estimates = None
                 status = "failed"
-            elapsed = time.perf_counter() - start if config.timing else 0.0
             spent = counting.total_cost
+            _log.info("method %s at budget %d: %s, oracle cost %d, %.3f s",
+                      method, budget, status, spent, time.perf_counter() - start)
             for qoi in QOI_NAMES:
                 for measure in MEASURES:
                     if status == "ok":
@@ -346,8 +374,7 @@ def run_convergence(config: StudyConfig, truth: GroundTruth | None = None,
                         est = rel = math.nan
                     records.append(ConvergenceRecord(
                         method=method, qoi=qoi, measure=measure,
-                        budget=spent, estimate=est, rel_error=rel,
-                        wall_time_s=elapsed, status=status))
+                        budget=spent, estimate=est, rel_error=rel, status=status))
     return records
 
 

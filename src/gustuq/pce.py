@@ -18,7 +18,6 @@ from .core import InputSpace, UncertainInput, nearest_rank_quantile, sample_surr
 
 __all__ = [
     "FitError",
-    "legendre_orthonormal",
     "legendre_table",
     "total_degree_basis",
     "PCESurrogate",
@@ -26,6 +25,10 @@ __all__ = [
     "pce_moments",
     "pce_quantile",
 ]
+
+
+# A regression fit needs at least this many samples per basis term.
+OVERSAMPLING = 2.0
 
 
 class FitError(RuntimeError):
@@ -46,13 +49,6 @@ def legendre_table(xi: np.ndarray, max_degree: int) -> np.ndarray:
     for n in range(1, max_degree):
         table[:, n + 1] = ((2 * n + 1) * xi * table[:, n] - n * table[:, n - 1]) / (n + 1)
     return table * np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
-
-
-def legendre_orthonormal(n: int, xi) -> np.ndarray | float:
-    """sqrt(2n+1) * P_n(xi) on [-1, 1]."""
-    scalar = np.isscalar(xi)
-    out = legendre_table(xi, n)[:, n]
-    return float(out[0]) if scalar else out
 
 
 def total_degree_basis(d: int, p: int) -> list[tuple[int, ...]]:
@@ -123,10 +119,10 @@ def _design_matrix(xi: np.ndarray, basis) -> np.ndarray:
 
 
 def fit_regression(points: np.ndarray, values: np.ndarray, p: int,
-                   space: InputSpace, oversampling: float = 2.0) -> PCESurrogate:
+                   space: InputSpace) -> PCESurrogate:
     """Least-squares chaos fit of degree-p total basis on standard points.
 
-    Requires at least ``oversampling`` times as many samples as basis
+    Requires at least ``OVERSAMPLING`` times as many samples as basis
     terms; raises on undersampled or rank-deficient designs.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -135,11 +131,11 @@ def fit_regression(points: np.ndarray, values: np.ndarray, p: int,
     if points.shape[1] != d:
         raise ValueError(f"points have {points.shape[1]} columns, space has dimension {d}")
     basis = total_degree_basis(d, p)
-    required = int(math.ceil(oversampling * len(basis)))
+    required = int(math.ceil(OVERSAMPLING * len(basis)))
     if points.shape[0] < required:
         raise ValueError(
             f"degree {p} in dimension {d} needs at least {required} samples "
-            f"({oversampling}x the {len(basis)} basis terms), got {points.shape[0]}"
+            f"({OVERSAMPLING}x the {len(basis)} basis terms), got {points.shape[0]}"
         )
     psi = _design_matrix(points, basis)
     coeffs, _, rank, _ = np.linalg.lstsq(psi, values, rcond=None)

@@ -6,19 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gustuq import (FlightCondition, GustOracle, GustProfile, InputSpace, QoIRecord,
-                    SimulationConfig, TimeHistory, UncertainInput, WingModel, gradient,
-                    gust_velocity, qois, simulate)
+from gustuq import (GustOracle, GustProfile, InputSpace, QoIRecord, SimulationConfig,
+                    TimeHistory, UncertainInput, WingModel, gust_velocity, qois)
 from gustuq.gust import _gust_shape, _time_grid, newmark_response
 
-NOMINAL = np.array([50.0, 6.0, 10.0])
-
-
-def make_parts(vinf=50.0, lg=6.0, vp=10.0):
-    return (GustProfile(peak_velocity=vp, gust_length=lg, onset_time=0.1),
-            FlightCondition(freestream_velocity=vinf),
-            WingModel(),
-            SimulationConfig())
+NOMINAL = np.array([50.0, 6.0, 10.0])  # V_inf, l_g, V_p
+NOMINAL_WINDOW_END = 0.1 + NOMINAL[1] / NOMINAL[0]  # the default onset plus l_g / V_inf
 
 
 # -- gust profile ------------------------------------------------------------
@@ -63,9 +56,8 @@ def test_gust_integral_matches_closed_form():
 
 # -- simulation --------------------------------------------------------------
 
-def test_zero_gust_zero_response():
-    gust, flight, wing, config = make_parts(vp=0.0)
-    hist = simulate(gust, flight, wing, config)
+def test_zero_gust_zero_response(oracle):
+    hist = oracle.simulate([50.0, 6.0, 0.0])
     assert np.all(hist.modal_coordinate == 0.0)
     rec = qois(hist)
     assert rec.max_tip_displacement == 0.0 and rec.avg_strain_energy == 0.0
@@ -83,38 +75,33 @@ def test_step_force_response_matches_closed_form():
     assert q.mean() == pytest.approx(F / k, rel=1e-2)
 
 
-def test_linearity_in_peak_velocity():
-    gust1, flight, wing, config = make_parts(vp=5.0)
-    gust2 = GustProfile(10.0, 6.0, onset_time=0.1)
-    h1 = simulate(gust1, flight, wing, config)
-    h2 = simulate(gust2, flight, wing, config)
+def test_linearity_in_peak_velocity(oracle):
+    h1 = oracle.simulate([50.0, 6.0, 5.0])
+    h2 = oracle.simulate([50.0, 6.0, 10.0])
     np.testing.assert_allclose(h2.tip_displacement, 2.0 * h1.tip_displacement,
                                rtol=1e-13, atol=1e-300)
 
 
-def test_post_gust_energy_conserved():
-    gust, flight, wing, config = make_parts()
-    hist = simulate(gust, flight, wing, config)
-    m, k = wing.modal_mass, wing.stiffness
+def test_post_gust_energy_conserved(oracle):
+    hist = oracle.simulate(NOMINAL)
+    m, k = oracle.wing.modal_mass, oracle.wing.stiffness
     energy = 0.5 * m * hist.modal_velocity**2 + 0.5 * k * hist.modal_coordinate**2
-    post = hist.times > gust.onset_time + gust.gust_length / flight.freestream_velocity
+    post = hist.times > NOMINAL_WINDOW_END
     e = energy[post]
     assert (e.max() - e.min()) / e.mean() < 1e-3
 
 
-def test_argmax_after_gust_peak():
-    gust, flight, wing, config = make_parts()
-    hist = simulate(gust, flight, wing, config)
+def test_argmax_after_gust_peak(oracle):
+    hist = oracle.simulate(NOMINAL)
     t_star = hist.times[np.argmax(hist.tip_displacement)]
-    t_gust_peak = gust.onset_time + gust.gust_length / (2 * flight.freestream_velocity)
+    t_gust_peak = 0.1 + NOMINAL[1] / (2 * NOMINAL[0])
     assert t_star > t_gust_peak
 
 
-def test_post_gust_peak_amplitudes_constant():
-    gust, flight, wing, config = make_parts()
-    hist = simulate(gust, flight, wing, config)
+def test_post_gust_peak_amplitudes_constant(oracle):
+    hist = oracle.simulate(NOMINAL)
     w = hist.tip_displacement
-    t_end = gust.onset_time + gust.gust_length / flight.freestream_velocity
+    t_end = NOMINAL_WINDOW_END
     peaks = [w[i] for i in range(1, len(w) - 1)
              if w[i] >= w[i - 1] and w[i] >= w[i + 1] and hist.times[i] > t_end]
     peaks = np.array(peaks)
@@ -122,9 +109,8 @@ def test_post_gust_peak_amplitudes_constant():
 
 
 def test_grid_convergence():
-    gust, flight, wing, _ = make_parts()
-    coarse = qois(simulate(gust, flight, wing, SimulationConfig(time_step=0.01)))
-    fine = qois(simulate(gust, flight, wing, SimulationConfig(time_step=0.005)))
+    coarse = qois(GustOracle(config=SimulationConfig(time_step=0.01)).simulate(NOMINAL))
+    fine = qois(GustOracle(config=SimulationConfig(time_step=0.005)).simulate(NOMINAL))
     assert abs(coarse.max_tip_displacement - fine.max_tip_displacement) \
         / fine.max_tip_displacement < 0.005
     assert abs(coarse.avg_strain_energy - fine.avg_strain_energy) \
@@ -132,9 +118,8 @@ def test_grid_convergence():
 
 
 def test_final_time_must_cover_gust_window():
-    gust, flight, wing, _ = make_parts()
     with pytest.raises(ValueError, match="window"):
-        simulate(gust, flight, wing, SimulationConfig(final_time=0.15))
+        GustOracle(config=SimulationConfig(final_time=0.15)).simulate(NOMINAL)
 
 
 # (entry point, its input, the row it reports); the final time 0.25 s
@@ -212,9 +197,9 @@ def test_gust_window_of_exactly_two_steps_is_resolved(oracle):
     assert oracle.evaluate(np.array([200.0, 4.0, 10.0])).max_tip_displacement > 0.0
 
 
-def test_history_invariants():
-    gust, flight, wing, config = make_parts()
-    hist = simulate(gust, flight, wing, config)
+def test_history_invariants(oracle):
+    hist = oracle.simulate(NOMINAL)
+    wing, config = oracle.wing, oracle.config
     assert len(hist.times) == int(np.floor(config.final_time / config.time_step)) + 1
     np.testing.assert_array_equal(hist.tip_displacement,
                                   wing.mode_tip_value * hist.modal_coordinate)
@@ -222,9 +207,8 @@ def test_history_invariants():
                                0.5 * wing.stiffness * hist.modal_coordinate**2)
 
 
-def test_history_csv_export(tmp_path):
-    gust, flight, wing, config = make_parts()
-    hist = simulate(gust, flight, wing, config)
+def test_history_csv_export(oracle, tmp_path):
+    hist = oracle.simulate(NOMINAL)
     path = tmp_path / "hist.csv"
     hist.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -241,9 +225,8 @@ def test_qois_sinusoid():
     assert qois(hist).max_tip_displacement == pytest.approx(1.0, abs=1e-6)
 
 
-def test_qois_scaling():
-    gust, flight, wing, config = make_parts()
-    hist = simulate(gust, flight, wing, config)
+def test_qois_scaling(oracle):
+    hist = oracle.simulate(NOMINAL)
     lam = 3.0
     scaled = TimeHistory(times=hist.times,
                          modal_coordinate=lam * hist.modal_coordinate,
@@ -372,9 +355,9 @@ def test_zero_peak_velocity_is_valid(oracle):
     lambda: GustProfile(10.0, np.nan),
     lambda: GustProfile(10.0, np.inf),
     lambda: GustProfile(10.0, 6.0, onset_time=np.nan),
-    lambda: FlightCondition(np.nan),
-    lambda: FlightCondition(np.inf),
-    lambda: FlightCondition(50.0, air_density=np.nan),
+    lambda: GustOracle().simulate([np.nan, 6.0, 10.0]),
+    lambda: GustOracle().simulate([np.inf, 6.0, 10.0]),
+    lambda: GustOracle(air_density=np.inf),
     lambda: GustOracle(air_density=np.nan),
     lambda: GustOracle(air_density=-1.225),
     lambda: GustOracle(gust_onset_time=np.inf),

@@ -10,7 +10,7 @@ from gustuq import (CountingOracle, RiskMeasures, StudyConfig, run_convergence,
                     run_ground_truth)
 from gustuq import gust
 from gustuq.cli import main as cli_main
-from gustuq.harness import (build_oracle, export_pdf_data,
+from gustuq.harness import (CSV_COLUMNS, build_oracle, export_pdf_data,
                             write_convergence_csv)
 from gustuq.kriging import kriging_fit
 
@@ -54,7 +54,8 @@ def test_config_from_dict_overrides():
     assert config.budgets == (10, 20)
 
 
-@pytest.mark.parametrize("entry, index", [(["a", 1], 0), ("abc", 1), (["a", 0, 1, 2], 1)])
+@pytest.mark.parametrize("entry, index", [(["a", 1], 0), ("abc", 1), (["a", 0, 1, 2], 1),
+                                          (["a", "0", 1], 0)])
 def test_config_from_dict_names_a_malformed_inputs_entry(entry, index):
     inputs = [["x", 0, 1], entry] if index else [entry]
     with pytest.raises(ValueError, match=re.escape(
@@ -82,6 +83,39 @@ def test_other_inputs_still_run_against_a_test_oracle(constant_oracle):
 def test_config_from_dict_names_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown config keys \['budget', 'quantlie'\];"):
         StudyConfig.from_dict({"budget": [8, 16], "seed": 1, "quantlie": 0.9})
+    with pytest.raises(ValueError, match=r"unknown config keys \['timing'\];"):
+        StudyConfig.from_dict({"timing": False})
+
+
+# (document, the error it raises, which names the bad key)
+MALFORMED_DOCS = [
+    ({"wing": {"modal_mas": 1}}, r"unknown wing keys \['modal_mas'\]"),
+    ({"budgets": 8}, "budgets must be an array, got 8"),
+    ({"time_step": "a"}, "time_step must be a number, got 'a'"),
+    ({"methods": "nipc"}, "methods must be an array, got 'nipc'"),
+    ({"methods": [["nipc"]]}, r"unknown methods \[\['nipc'\]\]"),
+    ({"wing": [1]}, r"wing must be an object, got \[1\]"),
+    ({"wing": {"modal_mass": "50"}}, "wing.modal_mass must be a number, got '50'"),
+    ({"quantile": True}, "quantile must be a number, got True"),
+    ({"inputs": 3}, "inputs must be an array, got 3"),
+    ([8], r"config must be an object, got \[8\]"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_DOCS,
+                         ids=["wing-key", "budgets", "time_step", "methods", "methods-entry",
+                              "wing", "wing.modal_mass", "quantile", "inputs", "config"])
+def test_config_from_dict_names_a_malformed_field(doc, message):
+    with pytest.raises(ValueError, match=message):
+        StudyConfig.from_dict(doc)
+
+
+def test_config_keys_follow_the_dataclass_fields():
+    wing = {f.name: 1.0 for f in dataclasses.fields(gust.WingModel)}
+    sim = {f.name: 0.5 for f in dataclasses.fields(gust.SimulationConfig)}
+    config = StudyConfig.from_dict({"wing": wing} | sim)
+    assert dataclasses.asdict(config.wing) == wing
+    assert dataclasses.asdict(config.sim) == sim
 
 
 def test_config_from_dict_accepts_every_documented_key():
@@ -97,7 +131,7 @@ def test_config_from_dict_accepts_every_documented_key():
         "seed": 0, "quantile": 0.95,
         "truth_train": 500, "truth_surrogate_samples": 20000,
         "truth_check_samples": 2000, "surrogate_samples": 10000,
-        "bins": 100, "timing": False,
+        "bins": 100,
     }
     assert StudyConfig.from_dict(doc).truth_check_samples == 2000
 
@@ -194,6 +228,24 @@ def test_failure_is_flagged_not_silent(small_truth):
     nipc4 = [r for r in records if r.method == "nipc" and r.status == "failed"]
     assert len(nipc4) == 6  # budget 4 cannot support a degree-1 fit
     assert all(r.status == "ok" for r in records if r.method == "mc")
+
+
+def test_convergence_columns_are_the_protocol_record():
+    assert CSV_COLUMNS == ("method", "qoi", "measure", "budget", "estimate",
+                           "rel_error", "status")
+
+
+def test_each_cell_logs_its_cost_and_time(small_truth, caplog):
+    config = StudyConfig(methods=("mc", "nipc"), budgets=(4, 8), **SMALL)
+    with caplog.at_level(logging.INFO, logger="gustuq.harness"):
+        run_convergence(config, small_truth)
+    cells = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(cells) == 4
+    for message, (method, budget) in zip(cells, [("mc", 4), ("mc", 8), ("nipc", 4),
+                                                 ("nipc", 8)]):
+        assert re.fullmatch(rf"method {method} at budget {budget}: (ok|failed), "
+                            r"oracle cost \d+, \d+\.\d{3} s", message)
+    assert "nipc at budget 4: failed" in cells[2]
 
 
 def test_failed_cell_is_logged_with_its_cause(small_truth, caplog):
@@ -350,3 +402,30 @@ def test_cli_simulate_rejects_point_outside_oracle_domain(config_file, tmp_path,
     assert "gustuq simulate: error: argument --point:" in err
     assert message in err
     assert not (tmp_path / "timehistory.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["truth", "converge", "pdf", "simulate"])
+def test_cli_rejects_a_bad_config_as_a_usage_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"budget": [8]}))
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gustuq {command}: error: invalid configuration: unknown config keys ['budget']" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),
+    ("{budgets: [8]}", "Expecting property name"),
+    (json.dumps({"inputs": SWAPPED_INPUTS}), "GustOracle reads its input columns"),
+], ids=["missing-file", "malformed-json", "misread-inputs"])
+def test_cli_reports_any_config_error_as_a_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "study.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["truth", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

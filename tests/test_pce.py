@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gustuq import (FitError, InputSpace, PCESurrogate, UncertainInput,
-                    fit_regression, latin_hypercube, legendre_orthonormal,
-                    pce_moments, pce_quantile, to_standard, total_degree_basis)
+                    fit_regression, latin_hypercube, pce_moments, pce_quantile,
+                    to_standard, total_degree_basis)
 from gustuq.pce import legendre_table
 
 
@@ -26,11 +26,11 @@ def std_lhs(n, space, seed):
 # -- basis ---------------------------------------------------------------------
 
 def test_legendre_degree_zero():
-    assert legendre_orthonormal(0, 0.37) == 1.0
+    assert legendre_table(0.37, 0)[0, 0] == 1.0
 
 
 def test_legendre_degree_two_closed_form():
-    assert legendre_orthonormal(2, 0.5) == pytest.approx(-0.125 * math.sqrt(5))
+    assert legendre_table(0.5, 2)[0, 2] == pytest.approx(-0.125 * math.sqrt(5))
 
 
 def test_legendre_orthonormal_by_quadrature():

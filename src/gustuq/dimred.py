@@ -16,10 +16,11 @@ the additive chaos surrogate used for quantiles.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import KroghInterpolator
 
 from .core import InputSpace, UncertainInput, nearest_rank_quantile, sample_surrogate
 from .pce import legendre_table
@@ -120,17 +121,56 @@ class UDRApprox:
         return cls(space=space, center_value=float(data["center_value"]), slices=slices)
 
 
+def _hermite_interpolate(xi: np.ndarray, yi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Hermite interpolant of the conditions ``(xi, yi)`` at the points ``x``.
+
+    The s-th repeat of an abscissa in ``xi`` carries the s-th derivative
+    there. Krogh's recurrence (confluent divided differences, then Newton
+    evaluation) in the operation order of scipy's ``KroghInterpolator``,
+    whose values it reproduces bit for bit, warning above 30 conditions.
+    """
+    n = len(xi)
+    if n > 30:
+        warnings.warn(f"{n} degrees provided, degrees higher than about thirty cause "
+                      "problems with numerical instability with Krogh interpolation",
+                      stacklevel=2)
+    xi, yi = xi.tolist(), yi.tolist()
+    c = [yi[0]] + [0.0] * (n - 1)
+    v = [0.0] * n
+    for k in range(1, n):
+        s = 0
+        while s <= k and xi[k - s] == xi[k]:
+            s += 1
+        s -= 1
+        v[0] = yi[k] / float(math.factorial(s))
+        for i in range(k - s):
+            if xi[i] == xi[k]:
+                raise ValueError("Elements of `xi` can't be equal.")
+            if s == 0:
+                v[i + 1] = (c[i] - v[i]) / (xi[i] - xi[k])
+            else:
+                v[i + 1] = (v[i + 1] - v[i]) / (xi[i] - xi[k])
+        c[k] = v[k - s]
+    p = np.zeros(len(x))
+    p += c[0]  # as scipy does: a -0.0 coefficient comes out as +0.0
+    w = np.ones(len(x))
+    for k in range(1, n):
+        w *= x - xi[k - 1]
+        p += w * c[k]
+    return p
+
+
 def _project_interpolant(conditions_x, conditions_y, degree: int) -> np.ndarray:
-    """Orthonormal Legendre coefficients of the Krogh interpolant.
+    """Orthonormal Legendre coefficients of the Hermite interpolant.
 
     ``conditions_x`` may repeat abscissae; a repeated entry's value is the
-    next derivative there. The projection quadrature is exact for the
-    interpolant times any basis polynomial of the same degree.
+    next derivative there (see ``_hermite_interpolate``). The projection
+    quadrature is exact for the interpolant times any basis polynomial of
+    the same degree.
     """
-    interp = KroghInterpolator(conditions_x, conditions_y)
     q_order = degree + 1
     nodes, weights = np.polynomial.legendre.leggauss(q_order)
-    g = interp(nodes)
+    g = _hermite_interpolate(conditions_x, conditions_y, nodes)
     table = legendre_table(nodes, degree)
     return 0.5 * (weights * g) @ table
 

@@ -112,11 +112,14 @@ class StudyConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:  # substream's SeedSequence takes non-negative entropy only
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("methods", "budgets"):
+            if not getattr(self, name):  # an empty sweep would fit the truth for nothing
+                raise ValueError(f"{name} must not be empty")
         if not all(map(_is_int, self.budgets)):
             raise ValueError(f"budgets must be integers, got {self.budgets}")
         if list(self.budgets) != sorted(set(self.budgets)):
             raise ValueError("budgets must be strictly increasing")
-        if self.budgets and self.budgets[0] < 1:
+        if self.budgets[0] < 1:
             raise ValueError(f"budgets must be at least 1, got {self.budgets}")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError(f"quantile must lie in (0, 1), got {self.quantile}")
@@ -287,8 +290,9 @@ def _udr_k(budget: int, d: int) -> int:
 
 
 def _gudr_k(budget: int, d: int) -> int:
-    # 2k+1 interpolation conditions per slice; cap keeps the Hermite
-    # interpolant inside KroghInterpolator's numerically stable range.
+    # 2k+1 interpolation conditions per slice (2k for odd k); the cap keeps
+    # the Hermite interpolant within the 30 conditions that the Krogh
+    # recurrence handles stably (dimred warns above that).
     return min(max((budget - 1) // (2 * d), 1), 14)
 
 

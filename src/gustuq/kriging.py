@@ -8,14 +8,14 @@ benchmark, per the 500-point protocol.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import LinAlgError
 
 # nearest_rank_quantile stays bound here for the benchmark tracer's import-site tests.
 from .core import RiskMeasures, nearest_rank_quantile, risk_from_samples, sample_surrogate
@@ -95,6 +95,17 @@ def _correlation(sq: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray
     return corr
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK ``(dpotrf, dpotrs)``, imported at the first factorization.
+
+    Importing ``scipy.linalg`` costs about 0.25 s and 28 MB (2-core Xeon VM),
+    which a process that never factors a correlation matrix does not pay.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    return dpotrf, dpotrs
+
+
 def _cholesky(corr: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of R + nugget I, computed in place over ``corr``.
 
@@ -102,6 +113,7 @@ def _cholesky(corr: np.ndarray) -> np.ndarray:
     Fortran order and LAPACK factors it without a copy or a finiteness
     pass (callers check their inputs). The upper triangle keeps R.
     """
+    dpotrf, _ = _lapack()
     factor, info = dpotrf(corr.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
@@ -114,6 +126,7 @@ def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     One right-hand side per call: a multi-column solve is not bit-identical
     to single-column ones on every BLAS kernel.
     """
+    _, dpotrs = _lapack()
     x, info = dpotrs(factor, rhs, lower=1)
     if info != 0:
         raise ValueError(f"dpotrs: argument {-info} is invalid")

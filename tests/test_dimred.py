@@ -1,12 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import KroghInterpolator
 
 from gustuq import (CountingOracle, InputSpace, UncertainInput, dr_moments,
                     dr_quantile, gauss_legendre, gudr_build, gudr_build_scalar,
                     udr_build, udr_build_scalar)
-from gustuq.dimred import UDRApprox, _assemble
+from gustuq.dimred import (UDRApprox, _assemble, _hermite_interpolate, _project_interpolant,
+                           _slice_conditions)
+from gustuq.pce import legendre_table
 
 CUBE1 = InputSpace((UncertainInput("x", -1, 1),))
 CUBE2 = InputSpace((UncertainInput("a", -1, 1), UncertainInput("b", -1, 1)))
@@ -270,7 +276,6 @@ def test_assembled_surrogate_reproduces_approximation():
     xi = rng.uniform(-1, 1, (100, 2))
     # slice-wise chaos evaluation is exactly what __call__ implements; check
     # it against direct Krogh re-interpolation of the slice data
-    from scipy.interpolate import KroghInterpolator
     total = np.full(100, -(2 - 1) * approx.center_value)
     for s in approx.slices:
         xs, ys = [], []
@@ -291,3 +296,67 @@ def test_json_round_trip():
     approx2 = UDRApprox.from_json(approx.to_json())
     xi = np.random.default_rng(3).uniform(-1, 1, (50, 2))
     np.testing.assert_allclose(approx2(xi), approx(xi), rtol=1e-12)
+
+
+# -- the in-house Krogh recurrence ---------------------------------------------
+
+# Slice data as the oracle gives it: zero, negative, or up to 1e4 in magnitude.
+slice_value = st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats(-1e4, 1e4))
+
+
+@st.composite
+def slice_data(draw):
+    k = draw(st.integers(1, 20))
+    values = np.array(draw(st.lists(slice_value, min_size=k, max_size=k)))
+    derivs = (np.array(draw(st.lists(slice_value, min_size=k, max_size=k)))
+              if draw(st.booleans()) else None)
+    return k, values, draw(slice_value), derivs
+
+
+@settings(max_examples=200, deadline=None)
+@given(slice_data())
+def test_hermite_interpolate_is_scipys_krogh_bit_for_bit(data):
+    # UDR and GUDR condition sets, odd k (a node at the center) and even k
+    k, values, center, derivs = data
+    xs, ys = _slice_conditions(gauss_legendre(k).nodes, values, center, derivs)
+    nodes, weights = np.polynomial.legendre.leggauss(len(xs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # both warn above 30 conditions
+        want = KroghInterpolator(xs, ys)(nodes)
+        got = _hermite_interpolate(xs, ys, nodes)
+        coefficients = _project_interpolant(xs, ys, degree=len(xs) - 1)
+    assert got.tobytes() == want.tobytes()
+    want_coefficients = 0.5 * (weights * want) @ legendre_table(nodes, len(xs) - 1)
+    assert coefficients.tobytes() == want_coefficients.tobytes()
+
+
+@pytest.mark.parametrize("n", [30, 31])
+def test_hermite_interpolate_warns_where_scipy_does(n):
+    xs = np.repeat(np.linspace(-1.0, 1.0, (n + 1) // 2), 2)[:n]
+    ys = np.linspace(0.0, 1.0, n)
+    nodes = np.linspace(-1.0, 1.0, 5)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        KroghInterpolator(xs, ys)(nodes)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        _hermite_interpolate(xs, ys, nodes)
+    assert [w.category for w in got] == [w.category for w in want]
+    assert len(got) == (n > 30)
+
+
+@pytest.mark.parametrize("k, warns", [(14, False), (15, False), (16, True)])
+def test_gudr_warns_only_beyond_thirty_conditions(constant_oracle, space, k, warns):
+    # odd k puts a node on the center, so k = 15 has 30 conditions and k = 16
+    # 33; the harness caps GUDR at k = 14 (29 conditions)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gudr_build(constant_oracle, space, k)
+    thirty = [w for w in caught if "degrees higher than about thirty" in str(w.message)]
+    assert bool(thirty) == warns
+    assert all(w.category is UserWarning for w in thirty)
+
+
+def test_hermite_interpolate_rejects_non_adjacent_repeats():
+    with pytest.raises(ValueError, match="can't be equal"):
+        _hermite_interpolate(np.array([0.0, 1.0, 0.0]), np.ones(3), np.zeros(1))

@@ -39,6 +39,14 @@ def test_config_validates_methods():
         StudyConfig(methods=("nipc", "bogus"))
 
 
+@pytest.mark.parametrize("name", ["methods", "budgets"])
+def test_config_rejects_an_empty_sweep_by_name(name):
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        StudyConfig(**{name: ()})
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        StudyConfig.from_dict({name: []})
+
+
 def test_config_from_dict_overrides():
     config = StudyConfig.from_dict({
         "inputs": [["a", 0.0, 1.0], ["b", 2.0, 3.0]],
@@ -413,6 +421,24 @@ def test_cli_rejects_a_bad_config_as_a_usage_error(tmp_path, capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"gustuq {command}: error: invalid configuration: unknown config keys ['budget']" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["methods", "budgets"])
+def test_cli_converge_rejects_an_empty_sweep_as_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                              name):
+    def no_truth(*args, **kwargs):
+        raise AssertionError("an empty sweep must fail before the ground truth")
+
+    monkeypatch.setattr("gustuq.cli.run_ground_truth", no_truth)
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({name: []}))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["converge", "--config", str(empty), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gustuq converge: error: invalid configuration: {name} must not be empty" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

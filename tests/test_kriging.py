@@ -363,7 +363,7 @@ def _fresh_fit(points, values, **kwargs):
 def _factored_thetas(monkeypatch):
     """Record the theta of every correlation matrix kriging hands to dpotrf."""
     built, factored = [], []
-    correlation, dpotrf = kriging._correlation, kriging.dpotrf
+    correlation, (dpotrf, dpotrs) = kriging._correlation, kriging._lapack()
 
     def spy_correlation(sq, theta, nugget):
         built.append(np.asarray(theta).tobytes())
@@ -374,7 +374,7 @@ def _factored_thetas(monkeypatch):
         return dpotrf(*args, **kwargs)
 
     monkeypatch.setattr(kriging, "_correlation", spy_correlation)
-    monkeypatch.setattr(kriging, "dpotrf", spy_dpotrf)
+    monkeypatch.setattr(kriging, "_lapack", lambda: (spy_dpotrf, dpotrs))
     return factored
 
 

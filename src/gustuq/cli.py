@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import QOI_NAMES
 from .gust import qois
-from .harness import (StudyConfig, build_oracle, export_pdf_data,
+from .harness import (StudyConfig, TruthCheckError, build_oracle, export_pdf_data,
                       run_convergence, run_ground_truth,
                       write_convergence_csv, write_convergence_json,
                       write_pdf_csv)
@@ -157,7 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TruthCheckError as exc:  # the study's data, not its usage, is at fault
+        print(f"gustuq {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

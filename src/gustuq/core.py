@@ -256,24 +256,42 @@ def uniform_physical_samples(n: int, space: InputSpace, seed: int, *tags) -> np.
 # risk measures
 
 
+def _check_finite_samples(values: np.ndarray, caller: str) -> None:
+    """Raise a ValueError naming the first non-finite entry of ``values``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(f"{caller}: values[{index}] is {values.flat[index]}; "
+                         "it must be finite")
+
+
 def nearest_rank_quantile(values: np.ndarray, p: float) -> float:
-    """Nearest-rank quantile: the ceil(p*N)-th order statistic (1-based)."""
+    """Nearest-rank quantile: the ceil(p*N)-th order statistic (1-based).
+
+    A non-finite value is a ValueError naming its index: the sort would
+    put a NaN last and return it, or a finite value past it, silently.
+    """
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0:
         raise ValueError("empty sample")
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
+    _check_finite_samples(values, "nearest_rank_quantile")
     rank = int(np.ceil(p * n))
     rank = min(max(rank, 1), n)
     return float(np.sort(values)[rank - 1])
 
 
 def risk_from_samples(values: Sequence[float], p: float = 0.95) -> RiskMeasures:
-    """Sample mean, Bessel-corrected std, and nearest-rank quantile."""
+    """Sample mean, Bessel-corrected std, and nearest-rank quantile.
+
+    A non-finite value is a ValueError naming its index.
+    """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least 2 values (sample std is undefined otherwise)")
+    _check_finite_samples(values, "risk_from_samples")
     return RiskMeasures(
         mean=float(values.mean()),
         std_dev=float(values.std(ddof=1)),

@@ -149,7 +149,7 @@ def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
 
 
 def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: float,
-                     beta: float = 0.25, gamma: float = 0.5):
+                     beta: float = 0.25, gamma: float = 0.5, *, reduce: bool = False):
     """Newmark time stepping for m q'' + c q' + k q = F(t), zero ICs.
 
     ``forcing`` holds F at the time nodes, shape (n_steps+1,) or
@@ -161,7 +161,7 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     scanned.
 
     Each step runs in a few length-``batch`` buffers allocated once per
-    call and writes the new state straight into the returned histories.
+    call and writes the new state straight into its history rows.
     Its arithmetic is that of the textbook update, term by term and in
     the same order, so the result does not depend on the buffering:
 
@@ -172,6 +172,16 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
 
     The damping term is kept when ``c == 0``: dropping it can change the
     sign of a zero.
+
+    With ``reduce`` no history is kept: the state lives in two rolling
+    rows, and the call returns (max q, time-mean of 1/2 k q^2) per column,
+    shaped like one forcing row.  The maximum is a running ``np.maximum``;
+    the energy (1/2 k q) q is summed node by node, from the first node to
+    the last, and divided by the node count.  For two or more columns that
+    is the order numpy's ``mean(axis=0)`` adds the rows of a C-ordered
+    history, so both results are bit-identical to reducing the history.  A
+    single column numpy sums pairwise instead, which can differ in the
+    last bits.
     """
     for name, value, positive in (("m", m, True), ("c", c, False), ("k", k, True),
                                   ("dt", dt, True), ("beta", beta, True)):
@@ -188,8 +198,11 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     F = forcing[:, None] if squeeze else forcing
     n_nodes, batch = F.shape
 
-    q = np.empty((n_nodes, batch))
-    v = np.empty((n_nodes, batch))
+    # Step i reads row (i - 1) % rows and writes row i % rows: the whole
+    # history, or two rolling rows when reducing.
+    rows = 2 if reduce else n_nodes
+    q = np.empty((rows, batch))
+    v = np.empty((rows, batch))
     q[0] = 0.0
     v[0] = 0.0
     a = F[0] / m  # zero initial displacement and velocity
@@ -203,16 +216,18 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     c5 = dt * (gamma / (2.0 * beta) - 1.0)
     # As 0-d arrays the constants skip the Python-float conversion a ufunc
     # makes on every call, which dominates at batch widths of a few points.
-    m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, g_a, g_an1 = map(
-        np.array, (m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, 1.0 - gamma, gamma))
+    m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, g_a, g_an1, half_k = map(
+        np.array, (m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, 1.0 - gamma, gamma, 0.5 * k))
 
     mul, add, sub = np.multiply, np.add, np.subtract
     c1v, c2a, t, u = (np.empty(batch) for _ in range(4))
+    if reduce:  # node 0 is at rest: its q and its energy are +0
+        q_max, energy_sum = np.zeros(batch), np.zeros(batch)
     for i in range(1, n_nodes):
-        qn, vn, qn1, vn1 = q[i - 1], v[i - 1], q[i], v[i]
+        qn, vn, qn1, vn1 = q[(i - 1) % rows], v[(i - 1) % rows], q[i % rows], v[i % rows]
         mul(c1, vn, c1v)
         mul(c2, a, c2a)
-        # rhs, accumulated in q[i]: the mass term ...
+        # rhs, accumulated in qn1: the mass term ...
         mul(c0, qn, t)
         add(t, c1v, t)
         add(t, c2a, t)
@@ -238,10 +253,14 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
         add(u, t, u)
         mul(dt, u, u)
         add(vn, u, vn1)
+        if reduce:  # t is free until the next step
+            np.maximum(q_max, qn1, out=q_max)
+            mul(half_k, qn1, t)
+            mul(t, qn1, t)
+            add(energy_sum, t, energy_sum)
 
-    if squeeze:
-        return q[:, 0], v[:, 0]
-    return q, v
+    out = (q_max, np.divide(energy_sum, n_nodes, energy_sum)) if reduce else (q, v)
+    return tuple(x[..., 0] for x in out) if squeeze else out
 
 
 def _time_grid(config: SimulationConfig) -> np.ndarray:
@@ -271,7 +290,7 @@ _ORACLE_INPUTS = ("freestream_velocity", "gust_length", "peak_gust_velocity")
 _MIN_WINDOW_STEPS = 2
 
 # Points integrated in lockstep per Newmark call; bounds the (time x point)
-# temporaries of large batches.
+# forcing of large batches.
 _BATCH_CHUNK = 20000
 
 
@@ -282,14 +301,17 @@ class GustOracle:
     constants.  ``simulate``, ``evaluate``, ``evaluate_batch`` and
     ``gradient`` share one forcing builder and one Newmark integration, so
     the QoIs of a ``simulate`` history are bit-identical to ``evaluate``.
-    Batch evaluation integrates all points in lockstep.  Its displacement
-    is bit-identical to one-at-a-time evaluation; its energy is a time mean
-    whose summation order depends on the batch width, so it agrees with
-    one-at-a-time evaluation to about 10 ulp.  Points must be finite with
-    V_inf > 0, l_g > 0 and V_p >= 0, the final time must cover their gust
-    windows, and each window must last at least ``_MIN_WINDOW_STEPS`` time
-    steps; each entry point raises a ValueError naming the first row that
-    does not.
+    Batch evaluation integrates its points in lockstep, ``_BATCH_CHUNK`` at
+    a time, and reduces a chunk of two or more points as it steps, keeping
+    no (time x point) response history: its energy sums are added node by
+    node, the order numpy's time mean of the history would use.  A 1-point
+    chunk, and so ``evaluate``, keeps the history, whose single column
+    numpy sums pairwise.  The displacement is therefore bit-identical to
+    one-at-a-time evaluation, but the energy agrees with it to about 10
+    ulp.  Points must be finite with V_inf > 0, l_g > 0 and V_p >= 0, the
+    final time must cover their gust windows, and each window must last at
+    least ``_MIN_WINDOW_STEPS`` time steps; each entry point raises a
+    ValueError naming the first row that does not.
     """
 
     def __init__(self, wing: WingModel | None = None,
@@ -376,13 +398,20 @@ class GustOracle:
                                scale * d_lg, scale * (0.5 * shape)], axis=-1)
         return out
 
-    def _response(self, points: np.ndarray, sensitivities: bool = False):
-        """(q, qdot) of the forced oscillator, shaped like ``_forcing``'s result."""
+    def _response(self, points: np.ndarray, sensitivities: bool = False,
+                  reduce: bool = False):
+        """(q, qdot) of the forced oscillator, shaped like ``_forcing``'s result.
+
+        With ``reduce``, ``newmark_response``'s (max q, mean strain energy)
+        instead, shaped like one time row of it.
+        """
         forcing = self._forcing(points, sensitivities)
-        q, v = newmark_response(self.wing.modal_mass, self.wing.damping, self.wing.stiffness,
-                                forcing.reshape(forcing.shape[0], -1), self.config.time_step,
-                                self.config.newmark_beta, self.config.newmark_gamma)
-        return q.reshape(forcing.shape), v.reshape(forcing.shape)
+        out = newmark_response(self.wing.modal_mass, self.wing.damping, self.wing.stiffness,
+                               forcing.reshape(forcing.shape[0], -1), self.config.time_step,
+                               self.config.newmark_beta, self.config.newmark_gamma,
+                               reduce=reduce)
+        shape = forcing.shape[1:] if reduce else forcing.shape
+        return tuple(x.reshape(shape) for x in out)
 
     def simulate(self, x) -> TimeHistory:
         """Integrate the forced oscillator at one point and return the full response history."""
@@ -412,13 +441,15 @@ class GustOracle:
         return out
 
     def _evaluate_chunk(self, points) -> np.ndarray:
-        q, v = self._response(points)
+        if points.shape[0] >= 2:
+            q_max, energy = self._response(points, reduce=True)
+        else:
+            # One point keeps its history: numpy sums its single column
+            # pairwise, which is the energy simulate()'s qois() returns.
+            q, _ = self._response(points)
+            q_max, energy = q.max(axis=0), (0.5 * self.wing.stiffness * q * q).mean(axis=0)
         # max(phi q) == phi max(q) exactly: phi > 0 and rounding is monotone.
-        max_tip = self.wing.mode_tip_value * q.max(axis=0)
-        # 1/2 k q q, built in the velocity history, which the QoIs do not use.
-        energy = np.multiply(0.5 * self.wing.stiffness, q, out=v)
-        energy *= q
-        return np.column_stack([max_tip, energy.mean(axis=0)])
+        return np.column_stack([self.wing.mode_tip_value * q_max, energy])
 
     def gradient(self, x) -> np.ndarray:
         """2x3 gradient of (max tip displacement, avg strain energy) wrt (V_inf, l_g, V_p).

@@ -30,6 +30,7 @@ from .pce import OVERSAMPLING, fit_regression, pce_moments, pce_quantile
 __all__ = [
     "StudyConfig",
     "GroundTruth",
+    "TruthCheckError",
     "ConvergenceRecord",
     "build_oracle",
     "run_ground_truth",
@@ -193,12 +194,17 @@ class GroundTruth:
         }, indent=2)
 
 
+class TruthCheckError(RuntimeError):
+    """The ground-truth surrogates disagree with direct Monte Carlo."""
+
+
 def run_ground_truth(config: StudyConfig, oracle=None) -> GroundTruth:
     """Fit the ground-truth kriging surrogates and verify them against direct MC.
 
     The surrogate risk measures must agree with a direct-oracle Monte
     Carlo run (mean within 3 standard errors of the MC mean, std within
-    3 of its approximate standard error), otherwise the run aborts.
+    3 of its approximate standard error), otherwise a TruthCheckError
+    names the first output that does not.
     """
     oracle = oracle or build_oracle(config)
     models, risks = _kriging(oracle, config, config.truth_train, config.seed + 101,
@@ -220,7 +226,7 @@ def run_ground_truth(config: StudyConfig, oracle=None) -> GroundTruth:
             "std_gap": std_gap, "std_tol": std_tol,
         }
         if mean_gap > mean_tol or std_gap > std_tol:
-            raise RuntimeError(
+            raise TruthCheckError(
                 f"ground-truth fidelity check failed for {name}: surrogate and "
                 f"direct MC disagree beyond 3 standard errors "
                 f"(mean gap {mean_gap:.3g} vs {mean_tol:.3g}, "

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,22 @@ def test_risk_permutation_invariant(values, rand):
 @settings(max_examples=100, deadline=None)
 def test_quantile_is_sample_element(values, p):
     assert nearest_rank_quantile(values, p) in values
+
+
+@pytest.mark.parametrize("reduce, name", [(lambda v: risk_from_samples(v, 0.95),
+                                            "risk_from_samples"),
+                                           (lambda v: nearest_rank_quantile(v, 0.5),
+                                            "nearest_rank_quantile")],
+                         ids=["risk", "quantile"])
+@pytest.mark.parametrize("values, index, shown", [
+    ([1.0, np.inf, 2.0], 1, "inf"),
+    ([np.nan, 1.0, 2.0], 0, "nan"),
+    ([1.0, 2.0, -np.inf, np.nan], 2, "-inf"),
+])
+def test_non_finite_samples_are_named_by_index(reduce, name, values, index, shown):
+    with pytest.raises(ValueError, match=re.escape(f"{name}: values[{index}] is {shown}; "
+                                                   "it must be finite")):
+        reduce(values)
 
 
 def test_uniform_sampling_prefix_stable(space):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from gustuq import (GustOracle, GustProfile, InputSpace, QoIRecord, SimulationConfig,
                     TimeHistory, UncertainInput, WingModel, gust_velocity, qois)
+from gustuq import gust
 from gustuq.gust import _gust_shape, _time_grid, newmark_response
 
 NOMINAL = np.array([50.0, 6.0, 10.0])  # V_inf, l_g, V_p
@@ -548,8 +550,13 @@ forcing_values = st.one_of(
 
 
 @st.composite
-def newmark_cases(draw):
-    width = draw(st.one_of(st.none(), st.integers(1, 12)))  # None: 1-D forcing
+def newmark_cases(draw, min_width=None):
+    """Keyword arguments of ``newmark_response``.
+
+    With ``min_width`` the forcing is 2-D and at least that wide.
+    """
+    widths = st.integers(min_width or 1, 12)
+    width = draw(widths if min_width else st.one_of(st.none(), widths))  # None: 1-D forcing
     n_nodes = draw(st.integers(1, 40))
     shape = (n_nodes,) if width is None else (n_nodes, width)
     forcing = draw(st.lists(forcing_values, min_size=int(np.prod(shape)),
@@ -600,3 +607,48 @@ def test_evaluate_chunk_reductions_bit_identical_to_full_products(wing, space):
     expected = np.column_stack([(wing.mode_tip_value * q).max(axis=0),
                                 (0.5 * k * q * q).mean(axis=0)])
     _assert_same_bits(oracle._evaluate_chunk(points), expected)
+
+
+# -- history-free reductions -------------------------------------------------------
+
+def _history_reductions(q, k):
+    """Max and time-mean strain energy of a (T, n) displacement history, as numpy takes them."""
+    return q.max(axis=0), (0.5 * k * q * q).mean(axis=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=newmark_cases(min_width=2))
+def test_newmark_reduce_bit_identical_to_history_reductions(case):
+    q, _ = newmark_response(**case)
+    q_max, energy = newmark_response(**case, reduce=True)
+    q_max_ref, energy_ref = _history_reductions(q, case["k"])
+    _assert_same_bits(q_max, q_max_ref)
+    _assert_same_bits(energy, energy_ref)
+
+
+def test_evaluate_batch_chunk_edges(oracle, space, monkeypatch):
+    monkeypatch.setattr(gust, "_BATCH_CHUNK", 5)
+    rng = np.random.default_rng(11)
+    points = space.lower + (space.upper - space.lower) * rng.random((11, 3))
+    out = oracle.evaluate_batch(points)
+    for start in (0, 5):  # two full chunks take the history-free route
+        q, _ = oracle._response(points[start:start + 5])
+        q_max, energy = _history_reductions(q, oracle.wing.stiffness)
+        _assert_same_bits(out[start:start + 5],
+                          np.column_stack([oracle.wing.mode_tip_value * q_max, energy]))
+    # the trailing 1-point chunk keeps the history route of evaluate()
+    _assert_same_bits(out[10], oracle.evaluate(points[10]).as_array())
+
+
+def test_evaluate_batch_peak_memory_below_two_histories(oracle, space):
+    n = gust._BATCH_CHUNK
+    rng = np.random.default_rng(12)
+    points = space.lower + (space.upper - space.lower) * rng.random((n, 3))
+    history_bytes = _time_grid(oracle.config).size * n * 8
+    tracemalloc.start()
+    try:
+        oracle.evaluate_batch(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * history_bytes

@@ -10,7 +10,7 @@ from gustuq import (CountingOracle, RiskMeasures, StudyConfig, run_convergence,
                     run_ground_truth)
 from gustuq import gust
 from gustuq.cli import main as cli_main
-from gustuq.harness import (CSV_COLUMNS, build_oracle, export_pdf_data,
+from gustuq.harness import (CSV_COLUMNS, TruthCheckError, build_oracle, export_pdf_data,
                             write_convergence_csv)
 from gustuq.kriging import kriging_fit
 
@@ -422,6 +422,32 @@ def test_cli_rejects_a_bad_config_as_a_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert f"gustuq {command}: error: invalid configuration: unknown config keys ['budget']" in err
     assert not (tmp_path / "out").exists()
+
+
+# Eight training points cannot carry the 20000-sample truth past the check.
+FAILING_TRUTH = {"truth_train": 8, "truth_surrogate_samples": 20000,
+                 "truth_check_samples": 2000, "budgets": [8], "methods": ["mc"]}
+
+
+def test_failed_truth_check_raises_truth_check_error():
+    config = StudyConfig.from_dict(FAILING_TRUTH)
+    with pytest.raises(TruthCheckError, match="ground-truth fidelity check failed"):
+        run_ground_truth(config)
+    assert issubclass(TruthCheckError, RuntimeError)
+
+
+@pytest.mark.parametrize("command", ["truth", "converge", "pdf"])
+def test_cli_reports_a_failed_truth_check_without_a_traceback(tmp_path, capsys, command):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(FAILING_TRUTH))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"gustuq {command}: error: ground-truth fidelity check "
+                                   "failed for ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert not (out / "truth.json").exists()
 
 
 @pytest.mark.parametrize("name", ["methods", "budgets"])

@@ -27,7 +27,9 @@ __all__ = [
     "sample_surrogate",
     "uniform_physical_samples",
     "nearest_rank_quantile",
+    "require_finite",
     "risk_from_samples",
+    "standard_points",
     "substream",
 ]
 
@@ -167,17 +169,26 @@ def to_standard(x: np.ndarray, space: InputSpace) -> np.ndarray:
     """Affine map from the physical box to [-1, 1]^d.
 
     Accepts a single point (d,) or a stack (n, d). Raises on
-    out-of-bounds components, naming the offending input.
+    out-of-bounds or NaN components, naming the offending input.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = space.lower, space.upper
-    below = x < lo
-    above = x > hi
-    if below.any() or above.any():
-        bad = np.atleast_1d((below | above).any(axis=0) if x.ndim > 1 else (below | above))
-        name = space.inputs[int(np.argmax(bad))].name
+    inside = (lo <= x) & (x <= hi)  # False for NaN
+    if not inside.all():
+        name = space.inputs[int(np.argmin(inside.reshape(-1, lo.size).all(axis=0)))].name
         raise ValueError(f"input {name!r} outside its [lower, upper] range")
     return 2.0 * (x - lo) / (hi - lo) - 1.0
+
+
+def standard_points(xi, d: int, caller: str) -> np.ndarray:
+    """``xi``, one point (d,) or a stack (n, d), as an (n, d) float array.
+
+    A ValueError naming ``caller`` rejects points without d columns.
+    """
+    pts = np.atleast_2d(np.asarray(xi, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"{caller}: points must have {d} columns, got shape {np.shape(xi)}")
+    return pts
 
 
 def from_standard(xi: np.ndarray, space: InputSpace) -> np.ndarray:
@@ -256,13 +267,15 @@ def uniform_physical_samples(n: int, space: InputSpace, seed: int, *tags) -> np.
 # risk measures
 
 
-def _check_finite_samples(values: np.ndarray, caller: str) -> None:
-    """Raise a ValueError naming the first non-finite entry of ``values``."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        index = int(np.argmin(finite))
-        raise ValueError(f"{caller}: values[{index}] is {values.flat[index]}; "
-                         "it must be finite")
+def require_finite(caller: str, **arrays) -> None:
+    """Raise a ValueError naming the first non-finite entry of the named arrays."""
+    for name, array in arrays.items():
+        array = np.asarray(array)
+        finite = np.isfinite(array)
+        if not finite.all():
+            index = np.unravel_index(int(np.argmin(finite)), array.shape)
+            label = f"{name}[{', '.join(map(str, index))}]" if index else name
+            raise ValueError(f"{caller}: {label} is {array[index]}; it must be finite")
 
 
 def nearest_rank_quantile(values: np.ndarray, p: float) -> float:
@@ -277,7 +290,7 @@ def nearest_rank_quantile(values: np.ndarray, p: float) -> float:
         raise ValueError("empty sample")
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
-    _check_finite_samples(values, "nearest_rank_quantile")
+    require_finite("nearest_rank_quantile", values=values)
     rank = int(np.ceil(p * n))
     rank = min(max(rank, 1), n)
     return float(np.sort(values)[rank - 1])
@@ -291,7 +304,7 @@ def risk_from_samples(values: Sequence[float], p: float = 0.95) -> RiskMeasures:
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least 2 values (sample std is undefined otherwise)")
-    _check_finite_samples(values, "risk_from_samples")
+    require_finite("risk_from_samples", values=values)
     return RiskMeasures(
         mean=float(values.mean()),
         std_dev=float(values.std(ddof=1)),

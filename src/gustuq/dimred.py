@@ -15,19 +15,17 @@ the additive chaos surrogate used for quantiles.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputSpace, UncertainInput, nearest_rank_quantile, sample_surrogate
+from .core import InputSpace, nearest_rank_quantile, sample_surrogate, standard_points
 from .pce import legendre_table
 
 __all__ = [
     "gauss_legendre",
-    "UnivariateSlice",
     "UDRApprox",
     "udr_build",
     "gudr_build",
@@ -40,85 +38,37 @@ __all__ = [
 _NODE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes and weights on [-1, 1] (weights sum to 2)."""
+def gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-point Gauss-Legendre (nodes, weights) on [-1, 1], exact for degree <= 2k-1.
 
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_legendre(k: int) -> QuadratureRule:
-    """k-point Gauss-Legendre rule, exact for polynomials of degree <= 2k-1."""
+    The nodes ascend and the weights sum to 2.
+    """
     if not 1 <= k <= 20:
         raise ValueError(f"quadrature order must be in [1, 20], got {k}")
-    nodes, weights = np.polynomial.legendre.leggauss(k)
-    return QuadratureRule(order=k, nodes=nodes, weights=weights)
-
-
-@dataclass(frozen=True)
-class UnivariateSlice:
-    """One dimension's slice data and its interpolant in coefficient form."""
-
-    dimension: int
-    nodes: np.ndarray  # standard coordinates
-    node_values: np.ndarray
-    node_derivatives: np.ndarray | None  # d f / d xi, present for GUDR
-    coefficients: np.ndarray  # orthonormal Legendre expansion of the interpolant
-
-    def __call__(self, xi) -> np.ndarray:
-        table = legendre_table(np.atleast_1d(xi), self.coefficients.size - 1)
-        return table @ self.coefficients
+    return np.polynomial.legendre.leggauss(k)
 
 
 @dataclass(frozen=True)
 class UDRApprox:
-    """Additive decomposition of one scalar output about the midpoint."""
+    """Additive decomposition of one scalar output about the midpoint.
+
+    ``coefficients[i]`` is the orthonormal Legendre expansion of dimension
+    i's slice interpolant.
+    """
 
     space: InputSpace
     center_value: float
-    slices: tuple[UnivariateSlice, ...]
+    coefficients: tuple[np.ndarray, ...]
 
     def __call__(self, xi) -> np.ndarray:
         """Evaluate the additive approximation at standard points (n, d) or (d,)."""
         xi = np.asarray(xi, dtype=float)
-        single = xi.ndim == 1
-        pts = np.atleast_2d(xi)
         d = self.space.dimension
+        pts = standard_points(xi, d, "UDRApprox")
         out = np.full(pts.shape[0], -(d - 1) * self.center_value)
-        for s in self.slices:
-            out += s(pts[:, s.dimension])
-        return float(out[0]) if single else out
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "inputs": [[u.name, u.lower, u.upper] for u in self.space.inputs],
-            "center_value": self.center_value,
-            "slices": [{
-                "dimension": s.dimension,
-                "nodes": s.nodes.tolist(),
-                "node_values": s.node_values.tolist(),
-                "node_derivatives": None if s.node_derivatives is None
-                                    else s.node_derivatives.tolist(),
-                "coefficients": s.coefficients.tolist(),
-            } for s in self.slices],
-        })
-
-    @classmethod
-    def from_json(cls, doc: str) -> "UDRApprox":
-        data = json.loads(doc)
-        space = InputSpace(tuple(UncertainInput(n, lo, hi) for n, lo, hi in data["inputs"]))
-        slices = tuple(
-            UnivariateSlice(
-                dimension=s["dimension"],
-                nodes=np.array(s["nodes"], dtype=float),
-                node_values=np.array(s["node_values"], dtype=float),
-                node_derivatives=None if s["node_derivatives"] is None
-                                 else np.array(s["node_derivatives"], dtype=float),
-                coefficients=np.array(s["coefficients"], dtype=float),
-            ) for s in data["slices"])
-        return cls(space=space, center_value=float(data["center_value"]), slices=slices)
+        for i, c in enumerate(self.coefficients):
+            out += legendre_table(pts[:, i], c.size - 1) @ c
+        return float(out[0]) if xi.ndim == 1 else out
 
 
 def _hermite_interpolate(xi: np.ndarray, yi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -178,30 +128,17 @@ def _project_interpolant(conditions_x, conditions_y, degree: int) -> np.ndarray:
 def _slice_conditions(nodes, values, center_value, derivs=None):
     """Interpolation conditions in ascending abscissa order, center included.
 
-    Skips the center when a quadrature node already sits at 0 (odd
+    ``nodes`` ascend; with ``derivs`` each node is repeated, its value then
+    its derivative. Skips the center when a node already sits at 0 (odd
     orders); otherwise repeated abscissae would be misread as derivative
     data.
     """
-    xs, ys = [], []
-    inserted_center = False
-    for x, v, *rest in sorted(
-            zip(nodes, values, *( [derivs] if derivs is not None else [] )),
-            key=lambda t: t[0]):
-        if not inserted_center and x > 0 and abs(x) > _NODE_TOL:
-            xs.append(0.0)
-            ys.append(center_value)
-            inserted_center = True
-        xs.append(x)
-        ys.append(v)
-        if rest:
-            xs.append(x)
-            ys.append(rest[0])
-        if abs(x) <= _NODE_TOL:
-            inserted_center = True
-    if not inserted_center:
-        xs.append(0.0)
-        ys.append(center_value)
-    return np.array(xs), np.array(ys)
+    xs = nodes if derivs is None else np.repeat(nodes, 2)
+    ys = values if derivs is None else np.column_stack([values, derivs]).ravel()
+    if np.abs(nodes).min() > _NODE_TOL:
+        at = np.searchsorted(xs, 0.0)
+        xs, ys = np.insert(xs, at, 0.0), np.insert(ys, at, center_value)
+    return xs, ys
 
 
 def _slice_points(space: InputSpace, nodes: np.ndarray, dim: int) -> np.ndarray:
@@ -212,18 +149,14 @@ def _slice_points(space: InputSpace, nodes: np.ndarray, dim: int) -> np.ndarray:
     return pts
 
 
-def _assemble(space: InputSpace, rule: QuadratureRule, center_value: float,
+def _assemble(space: InputSpace, nodes: np.ndarray, center_value: float,
               node_values: np.ndarray, node_derivatives: np.ndarray | None) -> UDRApprox:
-    slices = []
+    coefficients = []
     for i in range(space.dimension):
         derivs = None if node_derivatives is None else node_derivatives[i]
-        xs, ys = _slice_conditions(rule.nodes, node_values[i], center_value, derivs)
-        coeffs = _project_interpolant(xs, ys, degree=len(xs) - 1)
-        slices.append(UnivariateSlice(dimension=i, nodes=rule.nodes,
-                                      node_values=node_values[i],
-                                      node_derivatives=derivs,
-                                      coefficients=coeffs))
-    return UDRApprox(space=space, center_value=center_value, slices=tuple(slices))
+        xs, ys = _slice_conditions(nodes, node_values[i], center_value, derivs)
+        coefficients.append(_project_interpolant(xs, ys, degree=len(xs) - 1))
+    return UDRApprox(space=space, center_value=center_value, coefficients=tuple(coefficients))
 
 
 def _build(space: InputSpace, k: int, center, values, partial=None) -> tuple[UDRApprox, ...]:
@@ -234,11 +167,11 @@ def _build(space: InputSpace, k: int, center, values, partial=None) -> tuple[UDR
     and ``partial(x, i)``, if given, the physical partials along dimension i
     at one node (GUDR).
     """
-    rule = gauss_legendre(k)
+    nodes, _ = gauss_legendre(k)
     d = space.dimension
     half_width = 0.5 * (space.upper - space.lower)
     center_values = np.atleast_1d(np.asarray(center(space.midpoint), dtype=float))
-    pts = np.stack([_slice_points(space, rule.nodes, i) for i in range(d)])
+    pts = np.stack([_slice_points(space, nodes, i) for i in range(d)])
     node_values = np.asarray(values(pts.reshape(d * k, d)), dtype=float).reshape(d, k, -1)
     node_derivatives = None
     if partial is not None:
@@ -246,7 +179,7 @@ def _build(space: InputSpace, k: int, center, values, partial=None) -> tuple[UDR
         node_derivatives = (np.array([[partial(x, i) for x in pts[i]] for i in range(d)])
                             .reshape(d, k, -1) * half_width[:, None, None])
     return tuple(
-        _assemble(space, rule, float(center_values[j]), node_values[..., j],
+        _assemble(space, nodes, float(center_values[j]), node_values[..., j],
                   None if node_derivatives is None else node_derivatives[..., j])
         for j in range(center_values.size))
 
@@ -292,9 +225,9 @@ def dr_moments(approx: UDRApprox) -> tuple[float, float]:
     d = approx.space.dimension
     mean = -(d - 1) * approx.center_value
     var = 0.0
-    for s in approx.slices:
-        mean += float(s.coefficients[0])
-        var += float(np.sum(s.coefficients[1:] ** 2))
+    for c in approx.coefficients:
+        mean += float(c[0])
+        var += float(np.sum(c[1:] ** 2))
     return mean, float(np.sqrt(var))
 
 

@@ -137,8 +137,11 @@ def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
 
     The window is (T0, T0 + l_g/V_inf); inside it the velocity is
     1/2 V_p (1 - cos(2 pi (t - T0) V_inf / l_g)), peaking at exactly V_p
-    halfway through.
+    halfway through.  V_inf must be finite and positive.
     """
+    if not (math.isfinite(freestream_velocity) and freestream_velocity > 0):
+        raise ValueError(f"gust_velocity: freestream velocity is {float(freestream_velocity)!r}; "
+                         "it must be finite and positive")
     _, _, shape = _gust_shape(np.asarray(t, dtype=float), profile.onset_time,
                               freestream_velocity, profile.gust_length)
     return 0.5 * profile.peak_velocity * shape
@@ -415,7 +418,11 @@ class GustOracle:
 
     def simulate(self, x) -> TimeHistory:
         """Integrate the forced oscillator at one point and return the full response history."""
-        point = self._check_oracle_points(np.asarray(x, dtype=float)[None, :], "simulate")
+        return self._history(self._check_oracle_points(np.asarray(x, dtype=float)[None, :],
+                                                       "simulate"))
+
+    def _history(self, point: np.ndarray) -> TimeHistory:
+        """The response history at one checked (1, 3) point."""
         q, v = self._response(point)
         q, v = q[:, 0], v[:, 0]
         return TimeHistory(
@@ -427,9 +434,8 @@ class GustOracle:
         )
 
     def evaluate(self, x) -> QoIRecord:
-        point = self._check_oracle_points(np.asarray(x, dtype=float)[None, :], "evaluate")
-        out = self.evaluate_batch(point)[0]
-        return QoIRecord(max_tip_displacement=float(out[0]), avg_strain_energy=float(out[1]))
+        return qois(self._history(self._check_oracle_points(
+            np.asarray(x, dtype=float)[None, :], "evaluate")))
 
     def evaluate_batch(self, points) -> np.ndarray:
         points = self._check_oracle_points(np.atleast_2d(np.asarray(points, dtype=float)),
@@ -441,13 +447,11 @@ class GustOracle:
         return out
 
     def _evaluate_chunk(self, points) -> np.ndarray:
-        if points.shape[0] >= 2:
-            q_max, energy = self._response(points, reduce=True)
-        else:
-            # One point keeps its history: numpy sums its single column
-            # pairwise, which is the energy simulate()'s qois() returns.
-            q, _ = self._response(points)
-            q_max, energy = q.max(axis=0), (0.5 * self.wing.stiffness * q * q).mean(axis=0)
+        if points.shape[0] == 1:
+            # One point reduces its history, as evaluate() does: numpy sums
+            # that single column pairwise, not in node order.
+            return qois(self._history(points)).as_array()[None, :]
+        q_max, energy = self._response(points, reduce=True)
         # max(phi q) == phi max(q) exactly: phi > 0 and rounding is monotone.
         return np.column_stack([self.wing.mode_tip_value * q_max, energy])
 

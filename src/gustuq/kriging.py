@@ -18,7 +18,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 # nearest_rank_quantile stays bound here for the benchmark tracer's import-site tests.
-from .core import RiskMeasures, nearest_rank_quantile, risk_from_samples, sample_surrogate
+from .core import (RiskMeasures, nearest_rank_quantile, require_finite, risk_from_samples,
+                   sample_surrogate, standard_points)
 from .pce import FitError
 
 __all__ = ["KrigingModel", "kriging_fit", "kriging_predict", "kriging_risk"]
@@ -61,24 +62,13 @@ class KrigingModel:
         theta = np.array(data["lengthscales"], dtype=float)
         nugget = float(data["nugget"])
         trend = float(data["trend"])
-        _require_finite("KrigingModel.from_json", train_points=points, train_values=values,
-                        lengthscales=theta, nugget=nugget, trend=trend)
+        require_finite("KrigingModel.from_json", train_points=points, train_values=values,
+                       lengthscales=theta, nugget=nugget, trend=trend)
         factor = _cholesky(_correlation(_sq_dists(points, points), theta, nugget))
         alpha = _solve(factor, values - trend)
         return cls(train_points=points, train_values=values, lengthscales=theta,
                    process_variance=float(data["process_variance"]),
                    trend=trend, nugget=nugget, _alpha=alpha)
-
-
-def _require_finite(caller: str, **arrays) -> None:
-    """Raise a ValueError naming the first non-finite entry of the named arrays."""
-    for name, array in arrays.items():
-        array = np.asarray(array)
-        bad = np.flatnonzero(~np.isfinite(array))
-        if bad.size:
-            index = np.unravel_index(bad[0], array.shape)
-            label = f"{name}[{', '.join(map(str, index))}]" if index else name
-            raise ValueError(f"{caller}: {label} is {array[index]}; it must be finite")
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,7 +186,7 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
         raise ValueError(f"need at least d + 2 = {d + 2} training points, got {n}")
     if values.shape != (n,):
         raise ValueError("values must be a flat array matching the points")
-    _require_finite("kriging_fit", points=points, values=values, nugget=nugget)
+    require_finite("kriging_fit", points=points, values=values, nugget=nugget)
     if nugget <= 0.0:  # the tenfold escalation below could never leave zero
         raise ValueError(f"kriging_fit: nugget is {nugget}; it must be positive")
     sq = _sq_dists(points, points)  # shared by every likelihood evaluation
@@ -291,10 +281,9 @@ def kriging_predict(model: KrigingModel, xi: np.ndarray) -> np.ndarray:
     its negative in the only (n, n_train) array; ``sample_surrogate`` bounds n.
     """
     xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = np.atleast_2d(xi)
     train, theta = model.train_points, model.lengthscales
     n, d = train.shape
+    pts = standard_points(xi, d, "kriging_predict")
     # -|sqrt(theta) (a - b)|^2 = [2 theta a, -1, -|sqrt(theta) a|^2] . [b, |sqrt(theta) b|^2, 1]
     right = np.empty((d + 2, n))
     right[:d] = train.T
@@ -309,7 +298,7 @@ def kriging_predict(model: KrigingModel, xi: np.ndarray) -> np.ndarray:
     np.exp(r, out=r)
     out = r @ model._alpha
     out += model.trend
-    return float(out[0]) if single else out
+    return float(out[0]) if xi.ndim == 1 else out
 
 
 def kriging_risk(model: KrigingModel, p: float = 0.95, n_samples: int = 10**6,

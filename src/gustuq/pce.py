@@ -8,13 +8,12 @@ remaining coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputSpace, UncertainInput, nearest_rank_quantile, sample_surrogate
+from .core import InputSpace, nearest_rank_quantile, sample_surrogate, standard_points
 
 __all__ = [
     "FitError",
@@ -81,29 +80,10 @@ class PCESurrogate:
     basis: tuple[tuple[int, ...], ...]
     coefficients: np.ndarray
 
-    @property
-    def max_degree(self) -> int:
-        return max(sum(alpha) for alpha in self.basis)
-
     def predict(self, xi: np.ndarray) -> np.ndarray:
         """Evaluate the expansion at standard points, shape (n, d) or (d,)."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        xi = standard_points(xi, self.space.dimension, "PCESurrogate.predict")
         return _design_matrix(xi, self.basis) @ self.coefficients
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "inputs": [[u.name, u.lower, u.upper] for u in self.space.inputs],
-            "basis": [list(alpha) for alpha in self.basis],
-            "coefficients": list(self.coefficients),
-        })
-
-    @classmethod
-    def from_json(cls, doc: str) -> "PCESurrogate":
-        data = json.loads(doc)
-        space = InputSpace(tuple(UncertainInput(n, lo, hi) for n, lo, hi in data["inputs"]))
-        return cls(space=space,
-                   basis=tuple(tuple(a) for a in data["basis"]),
-                   coefficients=np.array(data["coefficients"], dtype=float))
 
 
 def _design_matrix(xi: np.ndarray, basis) -> np.ndarray:

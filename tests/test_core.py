@@ -24,6 +24,17 @@ def test_out_of_bounds_names_offender(space):
         to_standard(np.array([50.0, 9.5, 10.0]), space)
 
 
+@pytest.mark.parametrize("point, name", [
+    ([np.nan, 5.0, 10.0], "freestream_velocity"),
+    ([50.0, 5.0, np.nan], "peak_gust_velocity"),
+    ([[50.0, 5.0, 10.0], [np.nan, 5.0, 10.0]], "freestream_velocity"),
+])
+def test_nan_input_is_outside_its_range(space, point, name):
+    with pytest.raises(ValueError, match=re.escape(f"input {name!r} outside its "
+                                                   "[lower, upper] range")):
+        to_standard(np.array(point), space)
+
+
 def test_round_trip(space):
     rng = np.random.default_rng(0)
     x = space.lower + rng.random((1000, 3)) * (space.upper - space.lower)

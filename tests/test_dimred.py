@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.interpolate import KroghInterpolator
 from gustuq import (CountingOracle, InputSpace, UncertainInput, dr_moments,
                     dr_quantile, gauss_legendre, gudr_build, gudr_build_scalar,
                     udr_build, udr_build_scalar)
-from gustuq.dimred import (UDRApprox, _assemble, _hermite_interpolate, _project_interpolant,
+from gustuq.dimred import (_assemble, _hermite_interpolate, _project_interpolant,
                            _slice_conditions)
 from gustuq.pce import legendre_table
 
@@ -22,20 +23,20 @@ CUBE3 = InputSpace(tuple(UncertainInput(n, -1, 1) for n in "abc"))
 # -- quadrature ----------------------------------------------------------------
 
 def test_gauss_legendre_order_one():
-    rule = gauss_legendre(1)
-    np.testing.assert_allclose(rule.nodes, [0.0], atol=1e-15)
-    np.testing.assert_allclose(rule.weights, [2.0])
+    nodes, weights = gauss_legendre(1)
+    np.testing.assert_allclose(nodes, [0.0], atol=1e-15)
+    np.testing.assert_allclose(weights, [2.0])
 
 
 def test_gauss_legendre_order_two():
-    rule = gauss_legendre(2)
-    np.testing.assert_allclose(rule.nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)])
-    np.testing.assert_allclose(rule.weights, [1.0, 1.0])
+    nodes, weights = gauss_legendre(2)
+    np.testing.assert_allclose(nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)])
+    np.testing.assert_allclose(weights, [1.0, 1.0])
 
 
 def test_gauss_legendre_exactness():
-    rule = gauss_legendre(2)
-    assert rule.weights @ rule.nodes**2 == pytest.approx(2.0 / 3.0, rel=1e-14)
+    nodes, weights = gauss_legendre(2)
+    assert weights @ nodes**2 == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 def test_gauss_legendre_range_checked():
@@ -135,7 +136,7 @@ class RecordingOracle:
 
 def _all_slice_nodes(space, k):
     """Every slice node of every dimension, dimension-major, in physical units."""
-    nodes = gauss_legendre(k).nodes
+    nodes, _ = gauss_legendre(k)
     mu, half = space.midpoint, 0.5 * (space.upper - space.lower)
     pts = []
     for i in range(space.dimension):
@@ -168,8 +169,8 @@ def test_gudr_build_adds_one_gradient_per_node(constant_oracle, k):
                                   _all_slice_nodes(CUBE3, k))
 
 
-def _pointwise_reference(oracle, space, k, with_gradients):
-    """Both QoIs' approximations from node data taken one oracle call per node."""
+def _pointwise_node_data(oracle, space, k, with_gradients):
+    """Center, (d, k, 2) node values and node derivatives, one oracle call per node."""
     d = space.dimension
     half = 0.5 * (space.upper - space.lower)
     pts = _all_slice_nodes(space, k).reshape(d, k, d)
@@ -179,9 +180,7 @@ def _pointwise_reference(oracle, space, k, with_gradients):
     if with_gradients:
         derivs = np.array([[oracle.gradient(x)[:, i] * half[i] for x in pts[i]]
                            for i in range(d)])
-    return [_assemble(space, gauss_legendre(k), float(center[j]), values[..., j],
-                      None if derivs is None else derivs[..., j])
-            for j in range(2)]
+    return center, values, derivs
 
 
 @pytest.mark.parametrize("with_gradients", [False, True])
@@ -189,20 +188,27 @@ def _pointwise_reference(oracle, space, k, with_gradients):
 def test_batched_build_matches_pointwise_reference(oracle, space, k, with_gradients):
     build = gudr_build if with_gradients else udr_build
     batched = build(oracle, space, k)
-    reference = _pointwise_reference(oracle, space, k, with_gradients)
-    disp, energy = zip(batched, reference)
-    for got, want in (disp, energy):
-        assert got.center_value == want.center_value
-        for gs, ws in zip(got.slices, want.slices):
-            if with_gradients:
-                np.testing.assert_array_equal(gs.node_derivatives, ws.node_derivatives)
-    for gs, ws in zip(disp[0].slices, disp[1].slices):
-        np.testing.assert_array_equal(gs.node_values, ws.node_values)
-    for gs, ws in zip(energy[0].slices, energy[1].slices):
-        ulps = np.abs(gs.node_values - ws.node_values) / np.spacing(np.abs(ws.node_values))
-        assert ulps.max() <= 16
-    for got, want in zip(batched, reference):
-        np.testing.assert_allclose(dr_moments(got), dr_moments(want), rtol=1e-12, atol=0)
+    center, values, derivs = _pointwise_node_data(oracle, space, k, with_gradients)
+    batch_values = oracle.evaluate_batch(_all_slice_nodes(space, k)).reshape(values.shape)
+    np.testing.assert_array_equal(batch_values[..., 0], values[..., 0])
+    ulps = np.abs(batch_values[..., 1] - values[..., 1]) / np.spacing(np.abs(values[..., 1]))
+    assert ulps.max() <= 16
+    nodes, _ = gauss_legendre(k)
+
+    def assemble(node_values, j):
+        return _assemble(space, nodes, float(center[j]), node_values[..., j],
+                         None if derivs is None else derivs[..., j])
+
+    for j, got in enumerate(batched):
+        # the build is the assembly of the batched node data, bit for bit
+        assert got.center_value == center[j]
+        for gc, wc in zip(got.coefficients, assemble(batch_values, j).coefficients):
+            assert gc.tobytes() == wc.tobytes()
+        reference = assemble(values, j)
+        if j == 0:  # displacement node data is bit-identical, so are its coefficients
+            for gc, wc in zip(got.coefficients, reference.coefficients):
+                assert gc.tobytes() == wc.tobytes()
+        np.testing.assert_allclose(dr_moments(got), dr_moments(reference), rtol=1e-12, atol=0)
 
 
 def test_gudr_requires_gradient_capability():
@@ -275,27 +281,25 @@ def test_assembled_surrogate_reproduces_approximation():
     rng = np.random.default_rng(2)
     xi = rng.uniform(-1, 1, (100, 2))
     # slice-wise chaos evaluation is exactly what __call__ implements; check
-    # it against direct Krogh re-interpolation of the slice data
-    total = np.full(100, -(2 - 1) * approx.center_value)
-    for s in approx.slices:
-        xs, ys = [], []
-        for node, val in sorted(zip(s.nodes, s.node_values)):
-            xs.append(node)
-            ys.append(val)
-        mid = np.searchsorted(xs, 0.0)
-        xs.insert(mid, 0.0)
-        ys.insert(mid, approx.center_value)
-        total += KroghInterpolator(np.array(xs), np.array(ys))(xi[:, s.dimension])
+    # it against direct Krogh interpolation of f at the slice points
+    nodes, _ = gauss_legendre(4)
+    mid = np.searchsorted(nodes, 0.0)
+    total = np.full(100, -(2 - 1) * f(np.zeros(2)))
+    for i in range(2):
+        pts = np.zeros((4, 2))
+        pts[:, i] = nodes
+        xs = np.insert(nodes, mid, 0.0)
+        ys = np.insert([f(x) for x in pts], mid, f(np.zeros(2)))
+        total += KroghInterpolator(xs, ys)(xi[:, i])
     np.testing.assert_allclose(approx(xi), total, atol=1e-10)
 
 
-def test_json_round_trip():
-    approx = gudr_build_scalar(lambda x: float(x[0] ** 3 + x[1]),
-                               lambda x, i: 3.0 * float(x[0]) ** 2 if i == 0 else 1.0,
-                               CUBE2, 3)
-    approx2 = UDRApprox.from_json(approx.to_json())
-    xi = np.random.default_rng(3).uniform(-1, 1, (50, 2))
-    np.testing.assert_allclose(approx2(xi), approx(xi), rtol=1e-12)
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (4,)])
+def test_call_names_a_wrong_column_count(shape):
+    approx = udr_build_scalar(lambda x: float(x.sum()), CUBE3, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"UDRApprox: points must have 3 columns, got shape {shape}")):
+        approx(np.zeros(shape))
 
 
 # -- the in-house Krogh recurrence ---------------------------------------------
@@ -318,7 +322,7 @@ def slice_data(draw):
 def test_hermite_interpolate_is_scipys_krogh_bit_for_bit(data):
     # UDR and GUDR condition sets, odd k (a node at the center) and even k
     k, values, center, derivs = data
-    xs, ys = _slice_conditions(gauss_legendre(k).nodes, values, center, derivs)
+    xs, ys = _slice_conditions(gauss_legendre(k)[0], values, center, derivs)
     nodes, weights = np.polynomial.legendre.leggauss(len(xs))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # both warn above 30 conditions

@@ -35,6 +35,13 @@ def test_gust_zero_at_window_end():
     assert gust_velocity(0.1 + 6.0 / 50.0, profile, 50.0) == 0.0
 
 
+@pytest.mark.parametrize("vinf", [0.0, -50.0, np.nan, np.inf])
+def test_gust_velocity_rejects_a_freestream_velocity_that_is_not_positive(vinf):
+    with pytest.raises(ValueError, match=re.escape(
+            f"gust_velocity: freestream velocity is {vinf!r}; it must be finite and positive")):
+        gust_velocity(np.linspace(0.0, 1.0, 5), GustProfile(10.0, 5.0), vinf)
+
+
 def test_gust_bounded_and_continuous():
     rng = np.random.default_rng(1)
     for _ in range(200):

@@ -279,6 +279,15 @@ def test_fit_keeps_its_own_copy_of_the_training_data():
     _assert_same_model(model, want)
 
 
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (4,)])
+def test_predict_names_a_wrong_column_count(space, shape):
+    pts = std_lhs(10, space, 14)
+    model = kriging_fit(pts, pts.sum(axis=1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"kriging_predict: points must have 3 columns, got shape {shape}")):
+        model.predict(np.zeros(shape))
+
+
 def test_from_json_rejects_non_finite_fields_by_name(space):
     pts = std_lhs(10, space, 14)
     doc = json.loads(kriging_fit(pts, pts.sum(axis=1)).to_json())

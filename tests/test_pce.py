@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,10 +166,10 @@ def test_parseval_consistency(cube3):
     assert sample_var == pytest.approx(np.sum(s.coefficients[1:] ** 2), rel=0.01)
 
 
-def test_json_round_trip(cube2):
-    pts = std_lhs(30, cube2, 8)
-    s = fit_regression(pts, pts[:, 0] ** 2, 2, cube2)
-    s2 = PCESurrogate.from_json(s.to_json())
-    assert s2.basis == s.basis
-    np.testing.assert_allclose(s2.coefficients, s.coefficients)
-    assert s2.space == s.space
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (4,)])
+def test_predict_names_a_wrong_column_count(cube3, shape):
+    basis = total_degree_basis(3, 2)
+    s = PCESurrogate(space=cube3, basis=tuple(basis), coefficients=np.ones(len(basis)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"PCESurrogate.predict: points must have 3 columns, got shape {shape}")):
+        s.predict(np.zeros(shape))

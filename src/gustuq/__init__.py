@@ -6,10 +6,9 @@ variant) applied to a reduced-order aeroelastic gust-response model,
 plus a harness for ground truth and convergence studies.
 """
 
-from .core import (CountingOracle, InputSpace, QoIRecord,
-                   RiskMeasures, UncertainInput, default_input_space,
-                   from_standard, latin_hypercube, nearest_rank_quantile,
-                   risk_from_samples, to_standard)
+from .core import (CountingOracle, InputSpace, QoIRecord, RiskMeasures,
+                   UncertainInput, default_input_space, latin_hypercube,
+                   nearest_rank_quantile, risk_from_samples, to_standard)
 from .dimred import (UDRApprox, dr_moments, dr_quantile, gauss_legendre,
                      gudr_build, gudr_build_scalar, udr_build, udr_build_scalar)
 from .gust import (GustOracle, GustProfile, SimulationConfig, TimeHistory,

@@ -22,7 +22,6 @@ __all__ = [
     "CountingOracle",
     "default_input_space",
     "to_standard",
-    "from_standard",
     "latin_hypercube",
     "sample_surrogate",
     "uniform_physical_samples",
@@ -168,16 +167,18 @@ class CountingOracle:
 def to_standard(x: np.ndarray, space: InputSpace) -> np.ndarray:
     """Affine map from the physical box to [-1, 1]^d.
 
-    Accepts a single point (d,) or a stack (n, d). Raises on
-    out-of-bounds or NaN components, naming the offending input.
+    Accepts a single point (d,) or a stack (n, d). Raises on a wrong
+    column count, naming this function, and on out-of-bounds or NaN
+    components, naming the offending input.
     """
     x = np.asarray(x, dtype=float)
+    pts = standard_points(x, space.dimension, "to_standard")
     lo, hi = space.lower, space.upper
-    inside = (lo <= x) & (x <= hi)  # False for NaN
+    inside = (lo <= pts) & (pts <= hi)  # False for NaN
     if not inside.all():
-        name = space.inputs[int(np.argmin(inside.reshape(-1, lo.size).all(axis=0)))].name
+        name = space.inputs[int(np.argmin(inside.all(axis=0)))].name
         raise ValueError(f"input {name!r} outside its [lower, upper] range")
-    return 2.0 * (x - lo) / (hi - lo) - 1.0
+    return (2.0 * (pts - lo) / (hi - lo) - 1.0).reshape(x.shape)
 
 
 def standard_points(xi, d: int, caller: str) -> np.ndarray:
@@ -189,13 +190,6 @@ def standard_points(xi, d: int, caller: str) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"{caller}: points must have {d} columns, got shape {np.shape(xi)}")
     return pts
-
-
-def from_standard(xi: np.ndarray, space: InputSpace) -> np.ndarray:
-    """Inverse of :func:`to_standard`."""
-    xi = np.asarray(xi, dtype=float)
-    lo, hi = space.lower, space.upper
-    return lo + 0.5 * (xi + 1.0) * (hi - lo)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,13 @@ where g_i interpolates the univariate slice through the midpoint at
 Gauss-Legendre nodes (plus the midpoint itself, so the approximation is
 exact at the center).  GUDR additionally matches the slice derivative at
 each node, doubling the polynomial exactness per node.  Each slice is
-stored as orthonormal-Legendre coefficients (an exact quadrature
-projection of the interpolant), which makes moments analytic and gives
-the additive chaos surrogate used for quantiles.
+stored as orthonormal-Legendre coefficients, solved for directly from
+its interpolation conditions in that basis, which makes moments analytic
+and gives the additive chaos surrogate used for quantiles.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,74 +69,11 @@ class UDRApprox:
         return float(out[0]) if xi.ndim == 1 else out
 
 
-def _hermite_interpolate(xi: np.ndarray, yi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The Hermite interpolant of the conditions ``(xi, yi)`` at the points ``x``.
-
-    The s-th repeat of an abscissa in ``xi`` carries the s-th derivative
-    there. Krogh's recurrence (confluent divided differences, then Newton
-    evaluation) in the operation order of scipy's ``KroghInterpolator``,
-    whose values it reproduces bit for bit, warning above 30 conditions.
-    """
-    n = len(xi)
-    if n > 30:
-        warnings.warn(f"{n} degrees provided, degrees higher than about thirty cause "
-                      "problems with numerical instability with Krogh interpolation",
-                      stacklevel=2)
-    xi, yi = xi.tolist(), yi.tolist()
-    c = [yi[0]] + [0.0] * (n - 1)
-    v = [0.0] * n
-    for k in range(1, n):
-        s = 0
-        while s <= k and xi[k - s] == xi[k]:
-            s += 1
-        s -= 1
-        v[0] = yi[k] / float(math.factorial(s))
-        for i in range(k - s):
-            if xi[i] == xi[k]:
-                raise ValueError("Elements of `xi` can't be equal.")
-            if s == 0:
-                v[i + 1] = (c[i] - v[i]) / (xi[i] - xi[k])
-            else:
-                v[i + 1] = (v[i + 1] - v[i]) / (xi[i] - xi[k])
-        c[k] = v[k - s]
-    p = np.zeros(len(x))
-    p += c[0]  # as scipy does: a -0.0 coefficient comes out as +0.0
-    w = np.ones(len(x))
-    for k in range(1, n):
-        w *= x - xi[k - 1]
-        p += w * c[k]
-    return p
-
-
-def _project_interpolant(conditions_x, conditions_y, degree: int) -> np.ndarray:
-    """Orthonormal Legendre coefficients of the Hermite interpolant.
-
-    ``conditions_x`` may repeat abscissae; a repeated entry's value is the
-    next derivative there (see ``_hermite_interpolate``). The projection
-    quadrature is exact for the interpolant times any basis polynomial of
-    the same degree.
-    """
-    q_order = degree + 1
-    nodes, weights = np.polynomial.legendre.leggauss(q_order)
-    g = _hermite_interpolate(conditions_x, conditions_y, nodes)
-    table = legendre_table(nodes, degree)
-    return 0.5 * (weights * g) @ table
-
-
-def _slice_conditions(nodes, values, center_value, derivs=None):
-    """Interpolation conditions in ascending abscissa order, center included.
-
-    ``nodes`` ascend; with ``derivs`` each node is repeated, its value then
-    its derivative. Skips the center when a node already sits at 0 (odd
-    orders); otherwise repeated abscissae would be misread as derivative
-    data.
-    """
-    xs = nodes if derivs is None else np.repeat(nodes, 2)
-    ys = values if derivs is None else np.column_stack([values, derivs]).ravel()
-    if np.abs(nodes).min() > _NODE_TOL:
-        at = np.searchsorted(xs, 0.0)
-        xs, ys = np.insert(xs, at, 0.0), np.insert(ys, at, center_value)
-    return xs, ys
+def _legendre_slopes(x: np.ndarray, max_degree: int) -> np.ndarray:
+    """d/dx of ``legendre_table(x, max_degree)`` (max_degree >= 1), by numpy's legder."""
+    derivative = np.polynomial.legendre.legder(np.eye(max_degree + 1))
+    scale = np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
+    return np.polynomial.legendre.legvander(x, max_degree - 1) @ derivative * scale
 
 
 def _slice_points(space: InputSpace, nodes: np.ndarray, dim: int) -> np.ndarray:
@@ -151,11 +86,25 @@ def _slice_points(space: InputSpace, nodes: np.ndarray, dim: int) -> np.ndarray:
 
 def _assemble(space: InputSpace, nodes: np.ndarray, center_value: float,
               node_values: np.ndarray, node_derivatives: np.ndarray | None) -> UDRApprox:
-    coefficients = []
-    for i in range(space.dimension):
-        derivs = None if node_derivatives is None else node_derivatives[i]
-        xs, ys = _slice_conditions(nodes, node_values[i], center_value, derivs)
-        coefficients.append(_project_interpolant(xs, ys, degree=len(xs) - 1))
+    """Every slice's coefficients from one confluent Vandermonde solve.
+
+    Each row is one interpolation condition in the orthonormal Legendre
+    basis: the value at each node, at the center unless a node sits there,
+    then (GUDR) the derivative at each node. The degree is one less than
+    the number of conditions.
+    """
+    xs, conditions = nodes, [node_values]
+    if np.abs(nodes).min() > _NODE_TOL:
+        xs = np.append(nodes, 0.0)
+        conditions.append(np.full((space.dimension, 1), center_value))
+    degree = xs.size - 1
+    if node_derivatives is None:
+        matrix = legendre_table(xs, degree)
+    else:
+        degree += nodes.size
+        matrix = np.vstack([legendre_table(xs, degree), _legendre_slopes(nodes, degree)])
+        conditions.append(node_derivatives)
+    coefficients = np.linalg.solve(matrix, np.hstack(conditions).T).T.copy()
     return UDRApprox(space=space, center_value=center_value, coefficients=tuple(coefficients))
 
 

@@ -296,9 +296,9 @@ def _udr_k(budget: int, d: int) -> int:
 
 
 def _gudr_k(budget: int, d: int) -> int:
-    # 2k+1 interpolation conditions per slice (2k for odd k); the cap keeps
-    # the Hermite interpolant within the 30 conditions that the Krogh
-    # recurrence handles stably (dimred warns above that).
+    # 2k+1 interpolation conditions per slice (2k for odd k). The cap of 14
+    # is the protocol's budget rule, kept so that budgets and outputs stay
+    # as they are; the slice solve itself holds well past it.
     return min(max((budget - 1) // (2 * d), 1), 14)
 
 

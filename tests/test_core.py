@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gustuq import (InputSpace, UncertainInput, dr_quantile, export_pdf_data,
-                    fit_regression, from_standard, kriging_fit, kriging_risk,
+                    fit_regression, kriging_fit, kriging_risk,
                     latin_hypercube, nearest_rank_quantile, pce_quantile,
                     risk_from_samples, to_standard, udr_build_scalar)
 from gustuq.core import (_SAMPLE_CHUNK, sample_surrogate, substream,
@@ -36,10 +36,19 @@ def test_nan_input_is_outside_its_range(space, point, name):
 
 
 def test_round_trip(space):
-    rng = np.random.default_rng(0)
-    x = space.lower + rng.random((1000, 3)) * (space.upper - space.lower)
-    back = from_standard(to_standard(x, space), space)
-    np.testing.assert_allclose(back, x, rtol=1e-12)
+    # the box's lower corner, upper corner and midpoint, one at a time and stacked
+    corners = np.stack([space.lower, space.upper, space.midpoint])
+    want = np.array([[-1.0] * 3, [1.0] * 3, [0.0] * 3])
+    for x, w in zip(corners, want):
+        np.testing.assert_array_equal(to_standard(x, space), w)
+    np.testing.assert_array_equal(to_standard(corners, space), want)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 2), (2, 3, 3)])
+def test_to_standard_names_a_wrong_column_count(space, shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"to_standard: points must have 3 columns, got shape {shape}")):
+        to_standard(np.full(shape, 50.0), space)
 
 
 def test_input_validation():

@@ -25,7 +25,7 @@ from .dimred import dr_moments, dr_quantile, gudr_build, udr_build
 from .gust import GustOracle, SimulationConfig, WingModel
 from .kriging import KrigingModel, kriging_fit, kriging_risk
 from .montecarlo import mc_estimate
-from .pce import OVERSAMPLING, fit_regression, pce_moments, pce_quantile
+from .pce import MIN_QUANTILE_SAMPLES, OVERSAMPLING, fit_regression, pce_moments, pce_quantile
 
 __all__ = [
     "StudyConfig",
@@ -130,6 +130,9 @@ class StudyConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; pick from {METHODS}")
+        if "nipc" in self.methods and self.surrogate_samples < MIN_QUANTILE_SAMPLES:
+            raise ValueError(f"surrogate_samples is {self.surrogate_samples}; method nipc "
+                             f"samples its p95 from at least {MIN_QUANTILE_SAMPLES} points")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":

@@ -214,16 +214,21 @@ def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
     grid = np.logspace(math.log10(_THETA_BOUNDS[0]), math.log10(_THETA_BOUNDS[1]),
                        _GRID_POINTS)
     rejected = _rejected_thetas(points, nugget)
+    # Log-likelihood of each θ this fit has factored: coordinate descent
+    # comes back to the θ it just left.
+    accepted: dict[bytes, float] = {}
 
     def log_likelihood(theta):
         key = theta.tobytes()
         if key in rejected:
             raise LinAlgError("correlation matrix rejected earlier on this design")
-        try:
-            return _concentrated_fit(sq, values, theta, nugget)[0]
-        except LinAlgError:
-            rejected.add(key)
-            raise
+        if key not in accepted:
+            try:
+                accepted[key] = _concentrated_fit(sq, values, theta, nugget)[0]
+            except LinAlgError:
+                rejected.add(key)
+                raise
+        return accepted[key]
 
     best_ll = -math.inf
     best_theta = None

@@ -29,6 +29,9 @@ __all__ = [
 # A regression fit needs at least this many samples per basis term.
 OVERSAMPLING = 2.0
 
+# Fewest samples pce_quantile reads a quantile from.
+MIN_QUANTILE_SAMPLES = 10**4
+
 
 class FitError(RuntimeError):
     """Raised when a surrogate fit cannot be completed."""
@@ -133,7 +136,7 @@ def pce_moments(surrogate: PCESurrogate) -> tuple[float, float]:
 def pce_quantile(surrogate: PCESurrogate, p: float, n_samples: int = 10**6,
                  seed: int = 0) -> float:
     """Nearest-rank quantile of the surrogate sampled at seeded uniform points."""
-    if n_samples < 10**4:
+    if n_samples < MIN_QUANTILE_SAMPLES:
         raise ValueError("quantile sampling needs at least 1e4 samples")
     samples = sample_surrogate(surrogate.predict, surrogate.space.dimension, n_samples,
                                seed, "pce-quantile")

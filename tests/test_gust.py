@@ -14,6 +14,7 @@ from gustuq.gust import _gust_shape, _time_grid, newmark_response
 
 NOMINAL = np.array([50.0, 6.0, 10.0])  # V_inf, l_g, V_p
 NOMINAL_WINDOW_END = 0.1 + NOMINAL[1] / NOMINAL[0]  # the default onset plus l_g / V_inf
+SCALAR_COLUMNS = gust._SCALAR_COLUMNS  # widest forcing newmark_response steps per column
 
 
 # -- gust profile ------------------------------------------------------------
@@ -411,6 +412,13 @@ def test_newmark_response_rejects_bad_forcing_shape(forcing):
         newmark_response(1.0, 0.0, 1.0, forcing, 0.01)
 
 
+@pytest.mark.parametrize("width", [1, SCALAR_COLUMNS + 1])
+def test_newmark_response_rejects_a_zero_effective_stiffness(width):
+    # k + gamma c / (beta dt) + m / (beta dt^2) = 1 - 2 + 1: every step would divide by 0
+    with pytest.raises(ValueError, match="effective stiffness"):
+        newmark_response(1.0, 1.0, 1.0, np.ones((3, width)), 1.0, beta=1.0, gamma=-2.0)
+
+
 # -- oracle properties over the input box --------------------------------------
 
 box_points = st.tuples(st.floats(40.0, 60.0), st.floats(4.0, 8.0),
@@ -560,11 +568,15 @@ forcing_values = st.one_of(
 def newmark_cases(draw, min_width=None):
     """Keyword arguments of ``newmark_response``.
 
-    With ``min_width`` the forcing is 2-D and at least that wide.
+    Widths straddle ``_SCALAR_COLUMNS``, so both stepping paths are drawn,
+    the last narrow and the first wide width always among them.  With
+    ``min_width`` the forcing is 2-D and at least that wide.
     """
-    widths = st.integers(min_width or 1, 12)
+    lo = min_width or 1
+    widths = st.one_of(st.sampled_from([lo, SCALAR_COLUMNS, SCALAR_COLUMNS + 1]),
+                       st.integers(lo, 2 * SCALAR_COLUMNS + 2))
     width = draw(widths if min_width else st.one_of(st.none(), widths))  # None: 1-D forcing
-    n_nodes = draw(st.integers(1, 40))
+    n_nodes = draw(st.integers(1, min(40, 480 // (width or 1))))  # at most 480 forcing values
     shape = (n_nodes,) if width is None else (n_nodes, width)
     forcing = draw(st.lists(forcing_values, min_size=int(np.prod(shape)),
                             max_size=int(np.prod(shape))))
@@ -602,13 +614,14 @@ def test_newmark_response_keeps_the_zero_damping_term():
     _assert_same_bits(v, v_ref)
 
 
+@pytest.mark.parametrize("width", [2, SCALAR_COLUMNS, SCALAR_COLUMNS + 1, 257])
 @pytest.mark.parametrize("wing", [WingModel(mode_tip_value=0.73),
                                   WingModel(mode_tip_value=2.9, damping_ratio=0.02)],
                          ids=["tip-0.73", "tip-2.9-damped"])
-def test_evaluate_chunk_reductions_bit_identical_to_full_products(wing, space):
+def test_evaluate_chunk_reductions_bit_identical_to_full_products(wing, width, space):
     oracle = GustOracle(wing=wing)
     rng = np.random.default_rng(8)
-    points = space.lower + (space.upper - space.lower) * rng.random((257, 3))
+    points = space.lower + (space.upper - space.lower) * rng.random((width, 3))
     q, _ = oracle._response(points)
     k = wing.stiffness
     expected = np.column_stack([(wing.mode_tip_value * q).max(axis=0),
@@ -631,6 +644,20 @@ def test_newmark_reduce_bit_identical_to_history_reductions(case):
     q_max_ref, energy_ref = _history_reductions(q, case["k"])
     _assert_same_bits(q_max, q_max_ref)
     _assert_same_bits(energy, energy_ref)
+
+
+@pytest.mark.parametrize("width", [None, 1, SCALAR_COLUMNS, SCALAR_COLUMNS + 1])
+def test_newmark_reduce_max_keeps_the_signed_zero_tie_of_np_maximum(width):
+    # q runs +0, +0, -0 (the last step underflows), and np.maximum(+0, -0)
+    # returns its second argument, so the running maximum ends at -0.  A
+    # maximum that keeps its first argument on a tie would end at +0.
+    column = np.array([0.0, 0.0, -5e-324])
+    forcing = column if width is None else np.tile(column[:, None], (1, width))
+    case = dict(m=0.5, c=0.0, k=1.0, forcing=forcing, dt=0.05, beta=0.3, gamma=0.4)
+    q_ref, _ = _reference_newmark(**case)
+    assert np.all(q_ref[-1] == 0.0) and np.all(np.signbit(q_ref[-1]))
+    q_max, _ = newmark_response(**case, reduce=True)
+    _assert_same_bits(np.atleast_1d(q_max), np.full(width or 1, -0.0))
 
 
 def test_evaluate_batch_chunk_edges(oracle, space, monkeypatch):

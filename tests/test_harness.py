@@ -468,6 +468,38 @@ def test_cli_converge_rejects_an_empty_sweep_as_a_usage_error(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+# The NIPC p95 needs pce_quantile's sample floor; this config sits below it.
+SPARSE_NIPC = {"budgets": [32], "methods": ["nipc", "udr"], "truth_train": 200,
+               "truth_surrogate_samples": 20000, "truth_check_samples": 2000,
+               "surrogate_samples": 5000}
+
+
+def test_config_rejects_nipc_below_the_quantile_sample_floor():
+    with pytest.raises(ValueError, match=re.escape(
+            "surrogate_samples is 5000; method nipc samples its p95 from at least "
+            "10000 points")):
+        StudyConfig.from_dict(SPARSE_NIPC)
+    StudyConfig.from_dict({**SPARSE_NIPC, "methods": ["udr"]})  # only NIPC has the floor
+    StudyConfig.from_dict({**SPARSE_NIPC, "surrogate_samples": 10**4})
+
+
+def test_cli_converge_rejects_nipc_below_the_quantile_sample_floor(tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_truth(*args, **kwargs):
+        raise AssertionError("the config must fail before the ground truth")
+
+    monkeypatch.setattr("gustuq.cli.run_ground_truth", no_truth)
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(SPARSE_NIPC))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["converge", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "gustuq converge: error: invalid configuration: surrogate_samples is 5000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "No such file or directory"),
     ("{budgets: [8]}", "Expecting property name"),

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -413,6 +414,18 @@ def test_second_qoi_factors_no_theta_the_first_rejected(space, empty_memo, monke
     del factored[:]
     _assert_same_model(kriging_fit(pts, second), want)
     assert factored and not rejected.intersection(factored)
+
+
+def test_a_fit_factors_each_theta_once(space, empty_memo, monkeypatch):
+    pts = std_lhs(32, space, 18)
+    factored = _factored_thetas(monkeypatch)
+    for values in _qois(pts):
+        del factored[:]
+        model = kriging_fit(pts, values)
+        counts = Counter(factored)
+        final = model.lengthscales.tobytes()  # refit once more to build the model
+        assert counts.pop(final, 0) <= 2
+        assert max(counts.values()) == 1
 
 
 def test_memo_follows_the_design(space, empty_memo):

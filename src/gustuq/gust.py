@@ -6,9 +6,10 @@ from a one-minus-cosine vertical gust:
     m q'' + c q' + k q = Q(t),   Q(t) = 1/2 rho V_inf S C_La * Vg(t)
 
 with k = m (2 pi f_n)^2, c = 2 zeta sqrt(k m), zero initial conditions,
-integrated with Newmark average acceleration.  Outputs are the signed
-maximum tip displacement and the time-averaged strain energy; parameter
-gradients come from co-integrated forward sensitivity equations.
+integrated with Newmark average acceleration (beta = 1/4, gamma = 1/2).
+Outputs are the signed maximum tip displacement and the time-averaged
+strain energy; parameter gradients come from co-integrated forward
+sensitivity equations.
 """
 
 from __future__ import annotations
@@ -83,18 +84,12 @@ class WingModel:
 class SimulationConfig:
     time_step: float = 0.01  # s
     final_time: float = 2.0  # s
-    newmark_beta: float = 0.25
-    newmark_gamma: float = 0.5
 
     def __post_init__(self):
         if not (math.isfinite(self.time_step) and self.time_step > 0):
             raise ValueError("time step must be finite and positive")
         if not (math.isfinite(self.final_time) and self.final_time > 0):
             raise ValueError("final time must be finite and positive")
-        if not (math.isfinite(self.newmark_beta) and self.newmark_beta > 0):
-            raise ValueError("newmark beta must be finite and positive")
-        if not math.isfinite(self.newmark_gamma):
-            raise ValueError("newmark gamma must be finite")
 
 
 @dataclass(frozen=True)
@@ -151,42 +146,39 @@ def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
 # time integration
 
 
-# Widest forcing that newmark_response steps one column at a time in Python
-# floats; wider forcing goes through the ufunc loop.  Per 201-node call the
+# Widest forcing that newmark_response reduces one column at a time in Python
+# floats; wider reductions go through the ufunc loop.  Per 201-node call the
 # ufunc loop costs 4-5 ms at any width up to 64, the Python loop about
 # 0.15 ms per column, so they cross between 24 and 32 columns (2-core Xeon
 # VM, Python 3.11, numpy 2.4); 16 keeps a margin of about 1.5x.
 _SCALAR_COLUMNS = 16
 
 
-def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: float,
-                     beta: float = 0.25, gamma: float = 0.5, *, reduce: bool = False):
-    """Newmark time stepping for m q'' + c q' + k q = F(t), zero ICs.
+def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: float, *,
+                     reduce: bool = False):
+    """Newmark average-acceleration stepping for m q'' + c q' + k q = F(t), zero ICs.
 
     ``forcing`` holds F at the time nodes, shape (n_steps+1,) or
     (n_steps+1, batch) with at least one node; each column is its own
-    system.  Returns (q, qdot) with the same shape as
-    forcing.  ``m``, ``k``, ``dt`` and ``beta`` must be finite and
-    positive, ``c`` finite and non-negative, ``gamma`` finite; a
-    ValueError names the first that is not, or a zero effective stiffness
-    ``k_eff``.  The forcing's values are not scanned.
+    system.  Returns (q, qdot) with the same shape as forcing.  ``m``,
+    ``k`` and ``dt`` must be finite and positive, ``c`` finite and
+    non-negative; a ValueError names the first that is not.  The forcing's
+    values are not scanned.
 
-    Every column follows the textbook update, term by term and in the
-    same order:
+    The scheme is fixed at beta = 1/4, gamma = 1/2 (Newmark 1959), the
+    unconditionally stable, second-order case.  Every column follows this
+    update, term by term and in the same order:
 
-        rhs     = F + m (c0 q + c1 v + c2 a) + c (c3 q + c4 v + c5 a)
-        q_next  = rhs / k_eff
-        a_next  = c0 (q_next - q) - c1 v - c2 a
-        v_next  = v + dt ((1 - gamma) a + gamma a_next)
+        rhs     = F + m (4/dt^2 q + 4/dt v + a) + c (2/dt q + v)
+        q_next  = rhs / (k + 2 c / dt + 4 m / dt^2)
+        a_next  = 4/dt^2 (q_next - q) - 4/dt v - a
+        v_next  = v + dt (1/2 a + 1/2 a_next)
 
-    The damping term is kept when ``c == 0``: dropping it can change the
-    sign of a zero.  Forcing of at most ``_SCALAR_COLUMNS`` columns is
-    stepped one column at a time in Python floats (``_newmark_column``),
-    which avoids numpy's per-call cost; wider forcing is stepped a whole
-    row at a time, in a few length-``batch`` ufunc buffers allocated once
-    per call, writing the new state straight into its history rows.  Each
-    Python float operation is the same correctly rounded IEEE operation as
-    the ufunc's, so the two paths give the same bits.
+    That is the general beta-gamma update without its factors that are
+    exactly 1 or 0 there, so it gives the same bits.  The damping term is
+    kept when ``c == 0``: dropping it can change the sign of a zero.  The
+    history is stepped one column at a time in Python floats
+    (``_newmark_column``), which avoids numpy's per-call cost.
 
     With ``reduce`` no history is kept: the call returns (max q, time-mean
     of 1/2 k q^2) per column, shaped like one forcing row.  The maximum is
@@ -195,15 +187,17 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     For two or more columns that is the order numpy's ``mean(axis=0)``
     adds the rows of a C-ordered history, so both results are
     bit-identical to reducing the history.  A single column numpy sums
-    pairwise instead, which can differ in the last bits.
+    pairwise instead, which can differ in the last bits.  A reduction of
+    more than ``_SCALAR_COLUMNS`` columns is stepped a whole row at a time
+    in ufuncs (``_newmark_rows``).  Each Python float operation is the same
+    correctly rounded IEEE operation as the ufunc's, so the two paths give
+    the same bits.
     """
     for name, value, positive in (("m", m, True), ("c", c, False), ("k", k, True),
-                                  ("dt", dt, True), ("beta", beta, True)):
+                                  ("dt", dt, True)):
         if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
             raise ValueError(f"newmark_response: {name} must be finite and "
                              f"{'positive' if positive else 'non-negative'}, got {value!r}")
-    if not math.isfinite(gamma):
-        raise ValueError(f"newmark_response: gamma must be finite, got {gamma!r}")
     forcing = np.asarray(forcing, dtype=float)
     if forcing.ndim not in (1, 2) or forcing.shape[0] == 0:
         raise ValueError("newmark_response: forcing must be 1-D or 2-D with at least one "
@@ -212,30 +206,21 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     F = forcing[:, None] if squeeze else forcing
     n_nodes, batch = F.shape
 
-    k_eff = k + gamma * c / (beta * dt) + m / (beta * dt * dt)
-    if k_eff == 0.0:  # a negative gamma can cancel the positive terms
-        raise ValueError("newmark_response: the effective stiffness k + gamma c / (beta dt) "
-                         "+ m / (beta dt^2) is zero, so no step can be solved")
-    c0 = 1.0 / (beta * dt * dt)
-    c1 = 1.0 / (beta * dt)
-    c2 = 1.0 / (2.0 * beta) - 1.0
-    c3 = gamma / (beta * dt)
-    c4 = gamma / beta - 1.0
-    c5 = dt * (gamma / (2.0 * beta) - 1.0)
-    constants = (m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, 1.0 - gamma, gamma, 0.5 * k)
+    k_eff = k + 2.0 * c / dt + 4.0 * m / (dt * dt)  # > 0 for every argument checked above
+    constants = (m, c, dt, k_eff, 4.0 / (dt * dt), 4.0 / dt, 2.0 / dt, 0.5 * k)
 
-    if batch <= _SCALAR_COLUMNS:
+    if reduce and batch > _SCALAR_COLUMNS:
+        out = _newmark_rows(F, *map(np.array, constants))
+    else:
         shape = (batch,) if reduce else (n_nodes, batch)
         out = np.empty(shape), np.empty(shape)
         constants = tuple(map(float, constants))
         for j, column in enumerate(F.T.tolist()):
             out[0][..., j], out[1][..., j] = _newmark_column(column, *constants, reduce)
-    else:
-        out = _newmark_rows(F, *map(np.array, constants), reduce)
     return tuple(x[..., 0] for x in out) if squeeze else out
 
 
-def _newmark_column(f, m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, g_a, g_an1, half_k, reduce):
+def _newmark_column(f, m, c, dt, k_eff, c0, c1, c3, half_k, reduce):
     """``newmark_response`` on one forcing column given as a list of floats.
 
     Returns the q and qdot lists, or with ``reduce`` (max q, mean energy).
@@ -246,10 +231,9 @@ def _newmark_column(f, m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, g_a, g_an1, half
     qs, vs = [q], [v]
     for f_next in f[1:]:
         c1v = c1 * v
-        c2a = c2 * a
-        q_next = (f_next + m * (c0 * q + c1v + c2a) + c * (c3 * q + c4 * v + c5 * a)) / k_eff
-        a_next = c0 * (q_next - q) - c1v - c2a
-        v = v + dt * (g_a * a + g_an1 * a_next)
+        q_next = (f_next + m * (c0 * q + c1v + a) + c * (c3 * q + v)) / k_eff
+        a_next = c0 * (q_next - q) - c1v - a
+        v = v + dt * (0.5 * a + 0.5 * a_next)
         q, a = q_next, a_next
         if reduce:
             # np.maximum(q_max, q): a NaN wins, the first one if both are;
@@ -263,42 +247,35 @@ def _newmark_column(f, m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, g_a, g_an1, half
     return (q_max, energy_sum / len(f)) if reduce else (qs, vs)
 
 
-def _newmark_rows(F, m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, g_a, g_an1, half_k, reduce):
-    """``newmark_response`` on a (nodes, batch) forcing, one ufunc per term and row.
+def _newmark_rows(F, m, c, dt, k_eff, c0, c1, c3, half_k):
+    """``newmark_response(..., reduce=True)`` on a (nodes, batch) forcing in ufuncs.
 
-    The constants are 0-d arrays, which skips the Python-float conversion
-    a ufunc makes on every call.
+    One ufunc per term and row; the state lives in two rolling rows.  The
+    constants are 0-d arrays, which skips the Python-float conversion a
+    ufunc makes on every call.
     """
     n_nodes, batch = F.shape
-    # Step i reads row (i - 1) % rows and writes row i % rows: the whole
-    # history, or two rolling rows when reducing.
-    rows = 2 if reduce else n_nodes
-    q = np.empty((rows, batch))
-    v = np.empty((rows, batch))
-    q[0] = 0.0
-    v[0] = 0.0
+    # Step i reads row (i - 1) % 2 and writes row i % 2.
+    q = np.zeros((2, batch))
+    v = np.zeros((2, batch))
     a = F[0] / m  # zero initial displacement and velocity
 
     mul, add, sub = np.multiply, np.add, np.subtract
-    c1v, c2a, t, u = (np.empty(batch) for _ in range(4))
-    if reduce:  # node 0 is at rest: its q and its energy are +0
-        q_max, energy_sum = np.zeros(batch), np.zeros(batch)
+    c1v, t, u = (np.empty(batch) for _ in range(3))
+    q_max, energy_sum = np.zeros(batch), np.zeros(batch)  # node 0 is at rest: +0 both
+    half = np.array(0.5)
     for i in range(1, n_nodes):
-        qn, vn, qn1, vn1 = q[(i - 1) % rows], v[(i - 1) % rows], q[i % rows], v[i % rows]
+        qn, vn, qn1, vn1 = q[(i - 1) % 2], v[(i - 1) % 2], q[i % 2], v[i % 2]
         mul(c1, vn, c1v)
-        mul(c2, a, c2a)
         # rhs, accumulated in qn1: the mass term ...
         mul(c0, qn, t)
         add(t, c1v, t)
-        add(t, c2a, t)
+        add(t, a, t)
         mul(m, t, t)
         add(F[i], t, qn1)
         # ... then the damping term
         mul(c3, qn, t)
-        mul(c4, vn, u)
-        add(t, u, t)
-        mul(c5, a, u)
-        add(t, u, t)
+        add(t, vn, t)
         mul(c, t, t)
         add(qn1, t, qn1)
         np.divide(qn1, k_eff, qn1)
@@ -306,20 +283,20 @@ def _newmark_rows(F, m, c, dt, k_eff, c0, c1, c2, c3, c4, c5, g_a, g_an1, half_k
         sub(qn1, qn, t)
         mul(c0, t, t)
         sub(t, c1v, t)
-        sub(t, c2a, t)
-        mul(g_a, a, u)
+        sub(t, a, t)
+        mul(half, a, u)
         a, t = t, a
-        mul(g_an1, a, t)
+        mul(half, a, t)
         add(u, t, u)
         mul(dt, u, u)
         add(vn, u, vn1)
-        if reduce:  # t is free until the next step
-            np.maximum(q_max, qn1, out=q_max)
-            mul(half_k, qn1, t)
-            mul(t, qn1, t)
-            add(energy_sum, t, energy_sum)
+        # t is free until the next step
+        np.maximum(q_max, qn1, out=q_max)
+        mul(half_k, qn1, t)
+        mul(t, qn1, t)
+        add(energy_sum, t, energy_sum)
 
-    return (q_max, np.divide(energy_sum, n_nodes, energy_sum)) if reduce else (q, v)
+    return q_max, np.divide(energy_sum, n_nodes, energy_sum)
 
 
 def _time_grid(config: SimulationConfig) -> np.ndarray:
@@ -358,23 +335,21 @@ class GustOracle:
 
     Pure: results depend only on the input point and the frozen model
     constants.  ``simulate``, ``evaluate``, ``evaluate_batch`` and
-    ``gradient`` share one forcing builder and one Newmark integration, so
-    the QoIs of a ``simulate`` history are bit-identical to ``evaluate``.
-    ``newmark_response`` steps up to ``_SCALAR_COLUMNS`` forcing columns
-    (one point, a gradient's four columns, a small batch) one at a time in
-    Python floats, where numpy's per-call cost would dominate, and wider
-    forcing in lockstep ufuncs; both give the same bits.  Batch evaluation
-    integrates its points ``_BATCH_CHUNK`` at a time, and reduces a chunk of
-    two or more points as it steps, keeping no (time x point) response
-    history: its energy sums are added node by node, the order numpy's time
-    mean of the history would use.  A 1-point
-    chunk, and so ``evaluate``, keeps the history, whose single column
-    numpy sums pairwise.  The displacement is therefore bit-identical to
-    one-at-a-time evaluation, but the energy agrees with it to about 10
-    ulp.  Points must be finite with V_inf > 0, l_g > 0 and V_p >= 0, the
-    final time must cover their gust windows, and each window must last at
-    least ``_MIN_WINDOW_STEPS`` time steps; each entry point raises a
-    ValueError naming the first row that does not.
+    ``gradient`` share one forcing builder and one Newmark average-
+    acceleration integration, so the QoIs of a ``simulate`` history are
+    bit-identical to ``evaluate``.  The histories (one point, or a
+    gradient's four columns) are stepped column by column in Python floats.
+    Batch evaluation integrates its points ``_BATCH_CHUNK`` at a time, and
+    reduces a chunk of two or more points as it steps, keeping no (time x
+    point) response history: its energy sums are added node by node, the
+    order numpy's time mean of the history would use.  A 1-point chunk, and
+    so ``evaluate``, keeps the history, whose single column numpy sums
+    pairwise.  The displacement is therefore bit-identical to one-at-a-time
+    evaluation, but the energy agrees with it to about 10 ulp.  Points must
+    be finite with V_inf > 0, l_g > 0 and V_p >= 0, the final time must
+    cover their gust windows, and each window must last at least
+    ``_MIN_WINDOW_STEPS`` time steps; each entry point raises a ValueError
+    naming the first row that does not.
     """
 
     def __init__(self, wing: WingModel | None = None,
@@ -471,7 +446,6 @@ class GustOracle:
         forcing = self._forcing(points, sensitivities)
         out = newmark_response(self.wing.modal_mass, self.wing.damping, self.wing.stiffness,
                                forcing.reshape(forcing.shape[0], -1), self.config.time_step,
-                               self.config.newmark_beta, self.config.newmark_gamma,
                                reduce=reduce)
         shape = forcing.shape[1:] if reduce else forcing.shape
         return tuple(x.reshape(shape) for x in out)

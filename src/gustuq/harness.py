@@ -8,6 +8,7 @@ budgets, and density-normalized histograms of both outputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -130,9 +131,19 @@ class StudyConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; pick from {METHODS}")
-        if "nipc" in self.methods and self.surrogate_samples < MIN_QUANTILE_SAMPLES:
-            raise ValueError(f"surrogate_samples is {self.surrogate_samples}; method nipc "
-                             f"samples its p95 from at least {MIN_QUANTILE_SAMPLES} points")
+        d = self.space.dimension
+        for name, floor, need in (  # a floor of 0 belongs to a method not in the sweep
+                ("truth_train", d + 2, f"the ground truth fits kriging in d = {d} inputs"),
+                ("truth_surrogate_samples", 2, "the ground truth takes a sample std"),
+                ("truth_check_samples", 2,
+                 "the ground truth's Monte Carlo check takes a sample std"),
+                ("surrogate_samples", MIN_QUANTILE_SAMPLES * ("nipc" in self.methods),
+                 "method nipc samples its p95"),
+                ("surrogate_samples", 2 * ("kriging" in self.methods),
+                 "method kriging takes a sample std")):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} is {getattr(self, name)}; {need} "
+                                 f"from at least {floor} points")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -167,10 +178,22 @@ class StudyConfig:
 
 
 def build_oracle(config: StudyConfig) -> GustOracle:
-    return GustOracle(wing=config.wing, config=config.sim,
-                      air_density=config.air_density,
-                      gust_onset_time=config.gust_onset_time,
-                      space=config.space)
+    """The config's oracle; a ValueError names the input box unless it takes all of it.
+
+    Each of the oracle's conditions is monotone in every input, so the box's corners decide.
+    """
+    oracle = GustOracle(wing=config.wing, config=config.sim,
+                        air_density=config.air_density,
+                        gust_onset_time=config.gust_onset_time,
+                        space=config.space)
+    corners = np.array(list(itertools.product(*zip(config.space.lower, config.space.upper))))
+    try:
+        oracle._check_oracle_points(corners, "at its corners")
+    except ValueError as exc:
+        box = ", ".join(f"{u.name} in [{u.lower:g}, {u.upper:g}]" for u in config.space.inputs)
+        raise ValueError(f"the oracle cannot take every point of the input box {box}; "
+                         f"{exc}") from None
+    return oracle
 
 
 # ---------------------------------------------------------------------------

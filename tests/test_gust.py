@@ -14,7 +14,7 @@ from gustuq.gust import _gust_shape, _time_grid, newmark_response
 
 NOMINAL = np.array([50.0, 6.0, 10.0])  # V_inf, l_g, V_p
 NOMINAL_WINDOW_END = 0.1 + NOMINAL[1] / NOMINAL[0]  # the default onset plus l_g / V_inf
-SCALAR_COLUMNS = gust._SCALAR_COLUMNS  # widest forcing newmark_response steps per column
+SCALAR_COLUMNS = gust._SCALAR_COLUMNS  # widest reduction newmark_response steps per column
 
 
 # -- gust profile ------------------------------------------------------------
@@ -382,10 +382,10 @@ def test_zero_peak_velocity_is_valid(oracle):
     lambda: WingModel(damping_ratio=-0.01),
     lambda: SimulationConfig(time_step=np.nan),
     lambda: SimulationConfig(final_time=np.inf),
-    lambda: SimulationConfig(newmark_beta=np.nan),
-    lambda: SimulationConfig(newmark_beta=0.0),
-    lambda: SimulationConfig(newmark_beta=-0.25),
-    lambda: SimulationConfig(newmark_gamma=np.inf),
+    lambda: SimulationConfig(time_step=0.0),
+    lambda: SimulationConfig(time_step=-0.01),
+    lambda: SimulationConfig(final_time=np.nan),
+    lambda: SimulationConfig(final_time=0.0),
     lambda: newmark_response(0.0, 0.0, 1.0, np.ones(3), 0.01),
     lambda: newmark_response(np.nan, 0.0, 1.0, np.ones(3), 0.01),
     lambda: newmark_response(1.0, 0.0, np.nan, np.ones(3), 0.01),
@@ -395,9 +395,9 @@ def test_zero_peak_velocity_is_valid(oracle):
     lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), 0.0),
     lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), -0.01),
     lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), np.nan),
-    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), 0.01, beta=0.0),
-    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), 0.01, beta=np.nan),
-    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), 0.01, gamma=np.inf),
+    lambda: newmark_response(np.inf, 0.0, 1.0, np.ones(3), 0.01),
+    lambda: newmark_response(1.0, 0.0, -1.0, np.ones(3), 0.01),
+    lambda: newmark_response(1.0, 0.0, 1.0, np.ones(3), np.inf),
 ])
 def test_gust_and_flight_reject_non_finite(make):
     with pytest.raises(ValueError, match="finite"):
@@ -410,13 +410,6 @@ def test_gust_and_flight_reject_non_finite(make):
 def test_newmark_response_rejects_bad_forcing_shape(forcing):
     with pytest.raises(ValueError, match="forcing"):
         newmark_response(1.0, 0.0, 1.0, forcing, 0.01)
-
-
-@pytest.mark.parametrize("width", [1, SCALAR_COLUMNS + 1])
-def test_newmark_response_rejects_a_zero_effective_stiffness(width):
-    # k + gamma c / (beta dt) + m / (beta dt^2) = 1 - 2 + 1: every step would divide by 0
-    with pytest.raises(ValueError, match="effective stiffness"):
-        newmark_response(1.0, 1.0, 1.0, np.ones((3, width)), 1.0, beta=1.0, gamma=-2.0)
 
 
 # -- oracle properties over the input box --------------------------------------
@@ -514,8 +507,13 @@ def test_empty_batch_evaluates_to_no_rows(oracle):
 
 # -- Newmark kernel against the allocating loop it replaced ----------------------
 
-def _reference_newmark(m, c, k, forcing, dt, beta=0.25, gamma=0.5):
-    """The step loop ``newmark_response`` had before it reused buffers, kept verbatim."""
+def _reference_newmark(m, c, k, forcing, dt):
+    """The general Newmark step loop, kept verbatim, at average acceleration.
+
+    ``newmark_response`` drops the factors this form has at beta = 1/4,
+    gamma = 1/2 that are exactly 1 or 0; comparing bits checks that.
+    """
+    beta, gamma = 0.25, 0.5
     forcing = np.asarray(forcing, dtype=float)
     squeeze = forcing.ndim == 1
     F = forcing[:, None] if squeeze else forcing
@@ -568,7 +566,7 @@ forcing_values = st.one_of(
 def newmark_cases(draw, min_width=None):
     """Keyword arguments of ``newmark_response``.
 
-    Widths straddle ``_SCALAR_COLUMNS``, so both stepping paths are drawn,
+    Widths straddle ``_SCALAR_COLUMNS``, so both reduction paths are drawn,
     the last narrow and the first wide width always among them.  With
     ``min_width`` the forcing is 2-D and at least that wide.
     """
@@ -586,8 +584,6 @@ def newmark_cases(draw, min_width=None):
         k=draw(st.floats(1.0, 1e5)),
         forcing=np.array(forcing).reshape(shape),
         dt=draw(st.floats(1e-3, 0.05)),
-        beta=draw(st.floats(0.1, 0.5)),
-        gamma=draw(st.floats(0.4, 1.0)),
     )
 
 
@@ -601,15 +597,18 @@ def test_newmark_response_bit_identical_to_reference_loop(case):
 
 
 def test_newmark_response_keeps_the_zero_damping_term():
-    # In the first step the mass part of the right-hand side is
-    # F[1] + m * (c2 * a0) = -0 + -0 (the product underflows), and the
-    # damping term is 0 * (+0) = +0, so the sum is +0.  Leaving the term
-    # out when c == 0 would give q[1] = -0.
-    forcing = np.array([[-5e-324, 0.0], [-0.0, 0.0]])
-    case = dict(m=0.5, c=0.0, k=1.0, forcing=forcing, dt=0.05, beta=0.3, gamma=0.4)
+    # With dt = 2 the constants are 4/dt^2 = 1, 4/dt = 2 and 2/dt = 1, and
+    # k_eff = 1.25.  From a0 = 4s (s = 5e-324) the first step gives q1 = s,
+    # v1 = +0 and a1 = -3s.  In the second, the mass part of the right-hand
+    # side is F[2] + m * (q1 + 2 v1 + a1) = -0 + 0.25 * (-2s) = -0 + -0 (the
+    # product underflows), and the damping term is 0 * (q1 + v1) = +0, so
+    # the sum is +0.  Leaving the term out when c == 0 would give q2 = -0.
+    forcing = np.array([[5e-324, 0.0], [0.0, 0.0], [-0.0, 0.0]])
+    case = dict(m=0.25, c=0.0, k=1.0, forcing=forcing, dt=2.0)
     q, v = newmark_response(**case)
     q_ref, v_ref = _reference_newmark(**case)
-    assert not np.signbit(q[1, 0])
+    assert q[1, 0] == 5e-324
+    assert q[2, 0] == 0.0 and not np.signbit(q[2, 0])
     _assert_same_bits(q, q_ref)
     _assert_same_bits(v, v_ref)
 
@@ -648,12 +647,13 @@ def test_newmark_reduce_bit_identical_to_history_reductions(case):
 
 @pytest.mark.parametrize("width", [None, 1, SCALAR_COLUMNS, SCALAR_COLUMNS + 1])
 def test_newmark_reduce_max_keeps_the_signed_zero_tie_of_np_maximum(width):
-    # q runs +0, +0, -0 (the last step underflows), and np.maximum(+0, -0)
-    # returns its second argument, so the running maximum ends at -0.  A
-    # maximum that keeps its first argument on a tie would end at +0.
+    # q runs +0, +0, -0 (the last step is -5e-324 / k_eff with k_eff = 801,
+    # which underflows), and np.maximum(+0, -0) returns its second
+    # argument, so the running maximum ends at -0.  A maximum that keeps its
+    # first argument on a tie would end at +0.
     column = np.array([0.0, 0.0, -5e-324])
     forcing = column if width is None else np.tile(column[:, None], (1, width))
-    case = dict(m=0.5, c=0.0, k=1.0, forcing=forcing, dt=0.05, beta=0.3, gamma=0.4)
+    case = dict(m=0.5, c=0.0, k=1.0, forcing=forcing, dt=0.05)
     q_ref, _ = _reference_newmark(**case)
     assert np.all(q_ref[-1] == 0.0) and np.all(np.signbit(q_ref[-1]))
     q_max, _ = newmark_response(**case, reduce=True)

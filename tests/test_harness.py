@@ -82,6 +82,39 @@ def test_build_oracle_rejects_inputs_the_gust_oracle_would_misread():
         build_oracle(config)
 
 
+# Configs whose input box holds a point the oracle cannot take, with what the
+# error says about the corner that shows it.
+UNTAKEABLE_BOXES = [
+    ({"inputs": [["freestream_velocity", 40, 60], ["gust_length", 4, 8],
+                 ["peak_gust_velocity", -5, 15]]},
+     "peak_gust_velocity = -5.0; it must be finite and non-negative"),
+    ({"final_time": 0.2}, "has its gust window ending at 0.3 s; the time grid ends at 0.2 s"),
+    ({"time_step": 0.1}, "has a gust window of 0.1 s, shorter than 2 time steps of 0.1 s"),
+]
+UNTAKEABLE_IDS = ["negative-peak-velocity", "short-final-time", "coarse-time-step"]
+
+
+def _box_text(config):
+    return "input box " + ", ".join(f"{u.name} in [{u.lower:g}, {u.upper:g}]"
+                                    for u in config.space.inputs)
+
+
+@pytest.mark.parametrize("doc, message", UNTAKEABLE_BOXES, ids=UNTAKEABLE_IDS)
+def test_build_oracle_rejects_a_box_the_oracle_cannot_take(doc, message):
+    config = StudyConfig.from_dict(doc)
+    with pytest.raises(ValueError) as exc:
+        build_oracle(config)
+    assert _box_text(config) in str(exc.value)
+    assert message in str(exc.value)
+
+
+def test_build_oracle_accepts_a_box_whose_corners_the_oracle_takes():
+    config = StudyConfig.from_dict({"inputs": [["freestream_velocity", 20, 60],
+                                               ["gust_length", 4, 8],
+                                               ["peak_gust_velocity", 0, 15]]})
+    assert build_oracle(config).space == config.space
+
+
 def test_other_inputs_still_run_against_a_test_oracle(constant_oracle):
     config = dataclasses.replace(StudyConfig.from_dict({"inputs": SWAPPED_INPUTS}), **SMALL)
     truth = run_ground_truth(config, oracle=constant_oracle)
@@ -107,12 +140,15 @@ MALFORMED_DOCS = [
     ({"quantile": True}, "quantile must be a number, got True"),
     ({"inputs": 3}, "inputs must be an array, got 3"),
     ([8], r"config must be an object, got \[8\]"),
+    # the oracle integrates with average acceleration only (beta 1/4, gamma 1/2)
+    ({"newmark_beta": 0.3}, r"unknown config keys \['newmark_beta'\]"),
 ]
 
 
 @pytest.mark.parametrize("doc, message", MALFORMED_DOCS,
                          ids=["wing-key", "budgets", "time_step", "methods", "methods-entry",
-                              "wing", "wing.modal_mass", "quantile", "inputs", "config"])
+                              "wing", "wing.modal_mass", "quantile", "inputs", "config",
+                              "newmark_beta"])
 def test_config_from_dict_names_a_malformed_field(doc, message):
     with pytest.raises(ValueError, match=message):
         StudyConfig.from_dict(doc)
@@ -132,7 +168,6 @@ def test_config_from_dict_accepts_every_documented_key():
                    ["peak_gust_velocity", 5, 15]],
         "wing": {"modal_mass": 50.0},
         "time_step": 0.01, "final_time": 2.0,
-        "newmark_beta": 0.25, "newmark_gamma": 0.5,
         "air_density": 1.225, "gust_onset_time": 0.1,
         "methods": ["nipc", "kriging", "mc", "udr", "gudr"],
         "budgets": [8, 16, 32, 64, 128, 256],
@@ -160,8 +195,38 @@ def test_config_rejects_quantile_outside_unit_interval(quantile):
                                  "truth_check_samples", "surrogate_samples", "bins"])
 @pytest.mark.parametrize("value", [0, -5])
 def test_config_rejects_non_positive_counts(key, value):
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=f"{key} must be positive"):
         StudyConfig(**{key: value})
+
+
+# Positive counts below what the truth or a method needs, with the floor each names.
+BELOW_FLOOR = [
+    ({"truth_train": 4}, "truth_train is 4; the ground truth fits kriging in d = 3 inputs "
+                         "from at least 5 points"),
+    ({"truth_surrogate_samples": 1}, "truth_surrogate_samples is 1; the ground truth takes a "
+                                     "sample std from at least 2 points"),
+    ({"truth_check_samples": 1}, "truth_check_samples is 1; the ground truth's Monte Carlo "
+                                 "check takes a sample std from at least 2 points"),
+    ({"surrogate_samples": 1, "methods": ["kriging"]},
+     "surrogate_samples is 1; method kriging takes a sample std from at least 2 points"),
+]
+BELOW_FLOOR_IDS = ["truth_train", "truth_surrogate_samples", "truth_check_samples",
+                   "kriging-surrogate_samples"]
+
+
+@pytest.mark.parametrize("doc, message", BELOW_FLOOR, ids=BELOW_FLOOR_IDS)
+def test_config_rejects_counts_below_the_floor_of_their_stage(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StudyConfig.from_dict(doc)
+
+
+def test_config_accepts_counts_at_the_floor_of_their_stage():
+    StudyConfig(truth_train=5, truth_surrogate_samples=2, truth_check_samples=2,
+                surrogate_samples=2, methods=("kriging",))
+    # the floor follows the input count, and only kriging needs two surrogate samples
+    two_inputs = StudyConfig.from_dict({"inputs": [["a", 0, 1], ["b", 0, 1]]}).space
+    StudyConfig(space=two_inputs, truth_train=4)
+    StudyConfig(surrogate_samples=1, methods=("mc", "udr", "gudr"))
 
 
 @pytest.mark.parametrize("key", ["seed", "truth_train", "truth_surrogate_samples",
@@ -496,6 +561,26 @@ def test_cli_converge_rejects_nipc_below_the_quantile_sample_floor(tmp_path, cap
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "gustuq converge: error: invalid configuration: surrogate_samples is 5000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, message", UNTAKEABLE_BOXES + BELOW_FLOOR,
+                         ids=UNTAKEABLE_IDS + BELOW_FLOOR_IDS)
+def test_cli_rejects_a_config_the_run_cannot_take_before_the_truth(tmp_path, capsys,
+                                                                    monkeypatch, doc, message):
+    def no_truth(*args, **kwargs):
+        raise AssertionError("the config must fail before the ground truth")
+
+    monkeypatch.setattr("gustuq.cli.run_ground_truth", no_truth)
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["converge", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "gustuq converge: error: invalid configuration: " in err
+    assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

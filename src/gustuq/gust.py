@@ -146,11 +146,12 @@ def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
 # time integration
 
 
-# Widest forcing that newmark_response reduces one column at a time in Python
-# floats; wider reductions go through the ufunc loop.  Per 201-node call the
-# ufunc loop costs 4-5 ms at any width up to 64, the Python loop about
-# 0.15 ms per column, so they cross between 24 and 32 columns (2-core Xeon
-# VM, Python 3.11, numpy 2.4); 16 keeps a margin of about 1.5x.
+# Widest forcing that newmark_response reduces from its history, stepped one
+# column at a time in Python floats; wider reductions go through the ufunc
+# loop.  Per 201-node call the ufunc loop costs 4-5 ms at any width up to 64,
+# the Python loop about 0.15 ms per column, so they cross between 24 and 32
+# columns (2-core Xeon VM, Python 3.11, numpy 2.4); 16 keeps a margin of
+# about 1.5x.
 _SCALAR_COLUMNS = 16
 
 
@@ -180,18 +181,17 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     history is stepped one column at a time in Python floats
     (``_newmark_column``), which avoids numpy's per-call cost.
 
-    With ``reduce`` no history is kept: the call returns (max q, time-mean
-    of 1/2 k q^2) per column, shaped like one forcing row.  The maximum is
-    a running ``np.maximum``; the energy (1/2 k q) q is summed node by
-    node, from the first node to the last, and divided by the node count.
-    For two or more columns that is the order numpy's ``mean(axis=0)``
-    adds the rows of a C-ordered history, so both results are
-    bit-identical to reducing the history.  A single column numpy sums
-    pairwise instead, which can differ in the last bits.  A reduction of
-    more than ``_SCALAR_COLUMNS`` columns is stepped a whole row at a time
-    in ufuncs (``_newmark_rows``).  Each Python float operation is the same
-    correctly rounded IEEE operation as the ufunc's, so the two paths give
-    the same bits.
+    With ``reduce`` the call returns ``(q.max(axis=0), (0.5 * k * q *
+    q).mean(axis=0))`` of that history, bit for bit, shaped like one forcing
+    row.  Up to ``_SCALAR_COLUMNS`` columns it is exactly that: the history
+    is stepped and numpy reduces it.  A wider reduction keeps no history:
+    it is stepped a whole row at a time in ufuncs (``_newmark_rows``), with
+    a running ``np.maximum`` and an energy sum added node by node, from the
+    first node to the last, then divided by the node count.  For two or
+    more columns that is the order numpy's ``mean(axis=0)`` adds the rows
+    of a C-ordered history, and each Python float operation is the same
+    correctly rounded IEEE operation as the ufunc's, so both paths give the
+    same bits.
     """
     for name, value, positive in (("m", m, True), ("c", c, False), ("k", k, True),
                                   ("dt", dt, True)):
@@ -207,27 +207,23 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     n_nodes, batch = F.shape
 
     k_eff = k + 2.0 * c / dt + 4.0 * m / (dt * dt)  # > 0 for every argument checked above
-    constants = (m, c, dt, k_eff, 4.0 / (dt * dt), 4.0 / dt, 2.0 / dt, 0.5 * k)
+    constants = (m, c, dt, k_eff, 4.0 / (dt * dt), 4.0 / dt, 2.0 / dt)
 
     if reduce and batch > _SCALAR_COLUMNS:
-        out = _newmark_rows(F, *map(np.array, constants))
+        out = _newmark_rows(F, *map(np.array, constants + (0.5 * k,)))
     else:
-        shape = (batch,) if reduce else (n_nodes, batch)
-        out = np.empty(shape), np.empty(shape)
+        q, v = np.empty((n_nodes, batch)), np.empty((n_nodes, batch))
         constants = tuple(map(float, constants))
         for j, column in enumerate(F.T.tolist()):
-            out[0][..., j], out[1][..., j] = _newmark_column(column, *constants, reduce)
+            q[:, j], v[:, j] = _newmark_column(column, *constants)
+        out = (q.max(axis=0), (0.5 * k * q * q).mean(axis=0)) if reduce else (q, v)
     return tuple(x[..., 0] for x in out) if squeeze else out
 
 
-def _newmark_column(f, m, c, dt, k_eff, c0, c1, c3, half_k, reduce):
-    """``newmark_response`` on one forcing column given as a list of floats.
-
-    Returns the q and qdot lists, or with ``reduce`` (max q, mean energy).
-    """
+def _newmark_column(f, m, c, dt, k_eff, c0, c1, c3):
+    """``newmark_response`` on one forcing column given as a list of floats: the q and qdot lists."""
     a = f[0] / m  # zero initial displacement and velocity
     q = v = 0.0
-    q_max = energy_sum = 0.0  # node 0 is at rest: its q and its energy are +0
     qs, vs = [q], [v]
     for f_next in f[1:]:
         c1v = c1 * v
@@ -235,16 +231,9 @@ def _newmark_column(f, m, c, dt, k_eff, c0, c1, c3, half_k, reduce):
         a_next = c0 * (q_next - q) - c1v - a
         v = v + dt * (0.5 * a + 0.5 * a_next)
         q, a = q_next, a_next
-        if reduce:
-            # np.maximum(q_max, q): a NaN wins, the first one if both are;
-            # otherwise the larger, and q on a tie such as (+0, -0).
-            if not (q_max > q or q_max != q_max):
-                q_max = q
-            energy_sum = energy_sum + half_k * q * q
-        else:
-            qs.append(q)
-            vs.append(v)
-    return (q_max, energy_sum / len(f)) if reduce else (qs, vs)
+        qs.append(q)
+        vs.append(v)
+    return qs, vs
 
 
 def _newmark_rows(F, m, c, dt, k_eff, c0, c1, c3, half_k):
@@ -337,19 +326,18 @@ class GustOracle:
     constants.  ``simulate``, ``evaluate``, ``evaluate_batch`` and
     ``gradient`` share one forcing builder and one Newmark average-
     acceleration integration, so the QoIs of a ``simulate`` history are
-    bit-identical to ``evaluate``.  The histories (one point, or a
-    gradient's four columns) are stepped column by column in Python floats.
-    Batch evaluation integrates its points ``_BATCH_CHUNK`` at a time, and
-    reduces a chunk of two or more points as it steps, keeping no (time x
-    point) response history: its energy sums are added node by node, the
-    order numpy's time mean of the history would use.  A 1-point chunk, and
-    so ``evaluate``, keeps the history, whose single column numpy sums
-    pairwise.  The displacement is therefore bit-identical to one-at-a-time
-    evaluation, but the energy agrees with it to about 10 ulp.  Points must
+    bit-identical to ``evaluate``.  Batch evaluation integrates its points
+    ``_BATCH_CHUNK`` at a time through ``newmark_response(..., reduce=True)``,
+    which is numpy's max and time mean of the chunk's history, bit for bit.
+    So a 1-point batch equals ``evaluate``; in a batch of two or more
+    points numpy adds each column's energies in node order rather than
+    pairwise, so the displacement is bit-identical to one-at-a-time
+    evaluation but the energy agrees with it to about 10 ulp.  Points must
     be finite with V_inf > 0, l_g > 0 and V_p >= 0, the final time must
     cover their gust windows, and each window must last at least
     ``_MIN_WINDOW_STEPS`` time steps; each entry point raises a ValueError
-    naming the first row that does not.
+    naming the first row that does not.  ``simulate``, ``evaluate`` and
+    ``gradient`` take one point, a 3-vector, and name any other shape.
     """
 
     def __init__(self, wing: WingModel | None = None,
@@ -450,10 +438,17 @@ class GustOracle:
         shape = forcing.shape[1:] if reduce else forcing.shape
         return tuple(x.reshape(shape) for x in out)
 
+    def _check_one_point(self, x, caller: str) -> np.ndarray:
+        """``x`` as a checked (1, 3) point, or a ValueError naming ``caller`` and the shape given."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (len(_ORACLE_INPUTS),):
+            raise ValueError(f"{caller}: x must be one point (V_inf, l_g, V_p), "
+                             f"got shape {x.shape}")
+        return self._check_oracle_points(x[None, :], caller)
+
     def simulate(self, x) -> TimeHistory:
         """Integrate the forced oscillator at one point and return the full response history."""
-        return self._history(self._check_oracle_points(np.asarray(x, dtype=float)[None, :],
-                                                       "simulate"))
+        return self._history(self._check_one_point(x, "simulate"))
 
     def _history(self, point: np.ndarray) -> TimeHistory:
         """The response history at one checked (1, 3) point."""
@@ -468,26 +463,18 @@ class GustOracle:
         )
 
     def evaluate(self, x) -> QoIRecord:
-        return qois(self._history(self._check_oracle_points(
-            np.asarray(x, dtype=float)[None, :], "evaluate")))
+        return qois(self._history(self._check_one_point(x, "evaluate")))
 
     def evaluate_batch(self, points) -> np.ndarray:
         points = self._check_oracle_points(np.atleast_2d(np.asarray(points, dtype=float)),
                                            "evaluate_batch")
         out = np.empty((points.shape[0], 2))
         for start in range(0, points.shape[0], _BATCH_CHUNK):
-            out[start:start + _BATCH_CHUNK] = self._evaluate_chunk(
-                points[start:start + _BATCH_CHUNK])
+            q_max, energy = self._response(points[start:start + _BATCH_CHUNK], reduce=True)
+            # max(phi q) == phi max(q) exactly: phi > 0 and rounding is monotone.
+            out[start:start + _BATCH_CHUNK] = np.column_stack(
+                [self.wing.mode_tip_value * q_max, energy])
         return out
-
-    def _evaluate_chunk(self, points) -> np.ndarray:
-        if points.shape[0] == 1:
-            # One point reduces its history, as evaluate() does: numpy sums
-            # that single column pairwise, not in node order.
-            return qois(self._history(points)).as_array()[None, :]
-        q_max, energy = self._response(points, reduce=True)
-        # max(phi q) == phi max(q) exactly: phi > 0 and rounding is monotone.
-        return np.column_stack([self.wing.mode_tip_value * q_max, energy])
 
     def gradient(self, x) -> np.ndarray:
         """2x3 gradient of (max tip displacement, avg strain energy) wrt (V_inf, l_g, V_p).
@@ -497,7 +484,7 @@ class GustOracle:
         co-integrated with the identical Newmark recursion.  The max-QoI
         derivative freezes the primal argmax time step (earliest on ties).
         """
-        point = self._check_oracle_points(np.asarray(x, dtype=float)[None, :], "gradient")
+        point = self._check_one_point(x, "gradient")
         q, _ = self._response(point, sensitivities=True)
         q_primal, s = q[:, 0, 0], q[:, 0, 1:]
         i_star = int(np.argmax(q_primal))  # argmax of w_tip; phi_tip > 0

@@ -5,10 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gustuq import (CountingOracle, RiskMeasures, StudyConfig, run_convergence,
+from gustuq import (CountingOracle, QoIRecord, RiskMeasures, StudyConfig, run_convergence,
                     run_ground_truth)
-from gustuq import gust
+from gustuq import gust, harness
 from gustuq.cli import main as cli_main
 from gustuq.harness import (CSV_COLUMNS, TruthCheckError, build_oracle, export_pdf_data,
                             write_convergence_csv)
@@ -293,6 +295,48 @@ def test_budget_accounting(small_truth):
     assert by_method["udr"] == 16
     assert by_method["gudr"] == 13
     assert by_method["mc"] == 16
+
+
+class LinearOracle:
+    """Oracle whose two QoIs are fixed linear functions of the physical point."""
+
+    weights = np.array([[0.01, 0.2, 0.1], [2.0, 30.0, 40.0]])
+
+    def evaluate(self, x):
+        return QoIRecord(*(self.weights @ np.asarray(x, dtype=float)))
+
+    def evaluate_batch(self, points):
+        return np.atleast_2d(points) @ self.weights.T
+
+    def gradient(self, x):
+        return self.weights.copy()
+
+
+# (floor, error, whether the failed cell spent its budget): a budget below a
+# method's floor fails by name.
+FLOORS = {"nipc": (8, "cannot support a degree-1 chaos fit", False),
+          "kriging": (5, r"need at least d \+ 2 = 5 training points", True),
+          "mc": (2, "Monte Carlo needs at least 2 samples", False)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(harness.METHODS), budget=st.integers(1, 128))
+@example(method="udr", budget=128)  # k capped at 20
+@example(method="gudr", budget=128)  # k capped at 14
+def test_each_cell_costs_what_the_protocol_budget_rule_says(method, budget):
+    config = StudyConfig(methods=(method,), budgets=(budget,), surrogate_samples=10**4)
+    d = config.space.dimension
+    counting = CountingOracle(LinearOracle())
+    floor, message, spent = FLOORS.get(method, (1, None, False))
+    if budget < floor:
+        with pytest.raises(ValueError, match=message):
+            harness._RUNNERS[method](counting, config, budget)
+        assert counting.total_cost == (budget if spent else 0)
+        return
+    harness._RUNNERS[method](counting, config, budget)
+    expected = {"udr": d * min(max((budget - 1) // d, 1), 20) + 1,
+                "gudr": 2 * d * min(max((budget - 1) // (2 * d), 1), 14) + 1}
+    assert counting.total_cost == expected.get(method, budget)
 
 
 def test_failure_is_flagged_not_silent(small_truth):

@@ -235,13 +235,19 @@ def sample_surrogate(predict, d: int, n_samples: int, seed: int, tag: str) -> np
 
     Every surrogate-sampling entry point draws its cloud here, under its own tag.
     ``predict`` sees consecutive blocks of at most ``_SAMPLE_CHUNK`` rows.
+    Each block is drawn as it is needed, from one generator: consecutive
+    draws continue its stream, so the blocks are the rows of the whole
+    (n_samples, d) draw bit for bit, and no more than one block is held.
     """
     if n_samples < 1:
         raise ValueError(f"{tag}: n_samples must be at least 1, got {n_samples}")
-    cloud = substream(seed, tag).random((n_samples, d)) * 2.0 - 1.0
+    rng = substream(seed, tag)
     out = np.empty(n_samples)
     for start in range(0, n_samples, _SAMPLE_CHUNK):
-        out[start:start + _SAMPLE_CHUNK] = predict(cloud[start:start + _SAMPLE_CHUNK])
+        block = rng.random((min(_SAMPLE_CHUNK, n_samples - start), d))
+        block *= 2.0
+        block -= 1.0
+        out[start:start + _SAMPLE_CHUNK] = predict(block)
     return out
 
 
@@ -254,7 +260,9 @@ def uniform_physical_samples(n: int, space: InputSpace, seed: int, *tags) -> np.
     rng = substream(seed, "unif", *tags)
     u = rng.random((n, space.dimension))
     lo, hi = space.lower, space.upper
-    return lo + u * (hi - lo)
+    u *= hi - lo
+    u += lo  # lo + u * (hi - lo), in place: IEEE addition commutes
+    return u
 
 
 # ---------------------------------------------------------------------------

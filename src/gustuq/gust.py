@@ -15,7 +15,9 @@ sensitivity equations.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +122,20 @@ def _gust_shape(t, onset_time, freestream_velocity, gust_length):
 
     The phase is 2 pi (t - T0) V_inf / l_g, the window is
     (T0, T0 + l_g/V_inf), and the unit profile is 1 - cos(phase) inside
-    the window and 0 outside.  The arguments broadcast together.
+    the window and +0.0 outside.  ``t`` is an array of at least one
+    dimension; ``freestream_velocity`` and ``gust_length`` share one shape
+    that broadcasts with it, and the results have the broadcast shape.  The
+    phase and the profile are each one array written in place, operation
+    by operation in the order of those formulas, so they carry the bits of
+    the formulas written as expressions.
     """
-    phase = 2.0 * np.pi * (t - onset_time) * freestream_velocity / gust_length
+    phase = np.multiply(2.0 * np.pi * (t - onset_time), freestream_velocity)
+    np.divide(phase, gust_length, out=phase)
     inside = (t > onset_time) & (t < onset_time + gust_length / freestream_velocity)
-    return phase, inside, np.where(inside, 1.0 - np.cos(phase), 0.0)
+    shape = np.cos(phase)
+    np.subtract(1.0, shape, out=shape)
+    np.copyto(shape, 0.0, where=~inside)
+    return phase, inside, shape
 
 
 def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
@@ -137,9 +148,10 @@ def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
     if not (math.isfinite(freestream_velocity) and freestream_velocity > 0):
         raise ValueError(f"gust_velocity: freestream velocity is {float(freestream_velocity)!r}; "
                          "it must be finite and positive")
-    _, _, shape = _gust_shape(np.asarray(t, dtype=float), profile.onset_time,
+    t = np.asarray(t, dtype=float)
+    _, _, shape = _gust_shape(np.atleast_1d(t), profile.onset_time,
                               freestream_velocity, profile.gust_length)
-    return 0.5 * profile.peak_velocity * shape
+    return 0.5 * profile.peak_velocity * shape.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +168,18 @@ _SCALAR_COLUMNS = 16
 
 
 def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: float, *,
-                     reduce: bool = False):
+                     reduce: bool = False, n_nodes: int | None = None):
     """Newmark average-acceleration stepping for m q'' + c q' + k q = F(t), zero ICs.
 
-    ``forcing`` holds F at the time nodes, shape (n_steps+1,) or
-    (n_steps+1, batch) with at least one node; each column is its own
-    system.  Returns (q, qdot) with the same shape as forcing.  ``m``,
+    ``forcing`` holds F at the first time nodes, shape (rows,) or (rows,
+    batch) with at least one node; each column is its own system.
+    ``n_nodes`` is the number of time nodes stepped, by default ``rows``:
+    F is exactly +0.0 at every node from ``rows`` up to ``n_nodes``, so a
+    forcing that ends in zeros may be passed without them.  Returns (q,
+    qdot), each shaped like the forcing with ``n_nodes`` rows.  ``m``,
     ``k`` and ``dt`` must be finite and positive, ``c`` finite and
-    non-negative; a ValueError names the first that is not.  The forcing's
+    non-negative, and ``n_nodes`` an integer (not a bool) no smaller than
+    ``rows``; a ValueError names the first that is not.  The forcing's
     values are not scanned.
 
     The scheme is fixed at beta = 1/4, gamma = 1/2 (Newmark 1959), the
@@ -180,6 +196,10 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     kept when ``c == 0``: dropping it can change the sign of a zero.  The
     history is stepped one column at a time in Python floats
     (``_newmark_column``), which avoids numpy's per-call cost.
+
+    The nodes past the forcing's rows are stepped with F = +0.0, the value
+    a zero-padded forcing holds there, so the result is that of the padded
+    call bit for bit.
 
     With ``reduce`` the call returns ``(q.max(axis=0), (0.5 * k * q *
     q).mean(axis=0))`` of that history, bit for bit, shaped like one forcing
@@ -202,30 +222,40 @@ def newmark_response(m: float, c: float, k: float, forcing: np.ndarray, dt: floa
     if forcing.ndim not in (1, 2) or forcing.shape[0] == 0:
         raise ValueError("newmark_response: forcing must be 1-D or 2-D with at least one "
                          f"time node, got shape {forcing.shape}")
+    rows = forcing.shape[0]
+    if n_nodes is None:
+        n_nodes = rows
+    elif isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < rows:
+        raise ValueError(f"newmark_response: n_nodes must be an integer no smaller than the "
+                         f"forcing's {rows} time nodes, got {n_nodes!r}")
+    n_nodes = int(n_nodes)
     squeeze = forcing.ndim == 1
     F = forcing[:, None] if squeeze else forcing
-    n_nodes, batch = F.shape
+    batch = F.shape[1]
 
     k_eff = k + 2.0 * c / dt + 4.0 * m / (dt * dt)  # > 0 for every argument checked above
     constants = (m, c, dt, k_eff, 4.0 / (dt * dt), 4.0 / dt, 2.0 / dt)
 
     if reduce and batch > _SCALAR_COLUMNS:
-        out = _newmark_rows(F, *map(np.array, constants + (0.5 * k,)))
+        out = _newmark_rows(F, n_nodes, *map(np.array, constants + (0.5 * k,)))
     else:
         q, v = np.empty((n_nodes, batch)), np.empty((n_nodes, batch))
         constants = tuple(map(float, constants))
         for j, column in enumerate(F.T.tolist()):
-            q[:, j], v[:, j] = _newmark_column(column, *constants)
+            q[:, j], v[:, j] = _newmark_column(column, n_nodes, *constants)
         out = (q.max(axis=0), (0.5 * k * q * q).mean(axis=0)) if reduce else (q, v)
     return tuple(x[..., 0] for x in out) if squeeze else out
 
 
-def _newmark_column(f, m, c, dt, k_eff, c0, c1, c3):
-    """``newmark_response`` on one forcing column given as a list of floats: the q and qdot lists."""
+def _newmark_column(f, n_nodes, m, c, dt, k_eff, c0, c1, c3):
+    """``newmark_response`` on one forcing column given as a list of floats: the q and qdot lists.
+
+    The column is continued with 0.0 up to ``n_nodes`` nodes.
+    """
     a = f[0] / m  # zero initial displacement and velocity
     q = v = 0.0
     qs, vs = [q], [v]
-    for f_next in f[1:]:
+    for f_next in itertools.chain(f[1:], itertools.repeat(0.0, n_nodes - len(f))):
         c1v = c1 * v
         q_next = (f_next + m * (c0 * q + c1v + a) + c * (c3 * q + v)) / k_eff
         a_next = c0 * (q_next - q) - c1v - a
@@ -236,14 +266,16 @@ def _newmark_column(f, m, c, dt, k_eff, c0, c1, c3):
     return qs, vs
 
 
-def _newmark_rows(F, m, c, dt, k_eff, c0, c1, c3, half_k):
-    """``newmark_response(..., reduce=True)`` on a (nodes, batch) forcing in ufuncs.
+def _newmark_rows(F, n_nodes, m, c, dt, k_eff, c0, c1, c3, half_k):
+    """``newmark_response(..., reduce=True)`` on a (rows, batch) forcing in ufuncs.
 
     One ufunc per term and row; the state lives in two rolling rows.  The
+    nodes from ``rows`` up to ``n_nodes`` read one row of +0.0.  The
     constants are 0-d arrays, which skips the Python-float conversion a
     ufunc makes on every call.
     """
-    n_nodes, batch = F.shape
+    rows, batch = F.shape
+    zero_row = np.zeros(batch)
     # Step i reads row (i - 1) % 2 and writes row i % 2.
     q = np.zeros((2, batch))
     v = np.zeros((2, batch))
@@ -261,7 +293,7 @@ def _newmark_rows(F, m, c, dt, k_eff, c0, c1, c3, half_k):
         add(t, c1v, t)
         add(t, a, t)
         mul(m, t, t)
-        add(F[i], t, qn1)
+        add(F[i] if i < rows else zero_row, t, qn1)
         # ... then the damping term
         mul(c3, qn, t)
         add(t, vn, t)
@@ -326,13 +358,18 @@ class GustOracle:
     constants.  ``simulate``, ``evaluate``, ``evaluate_batch`` and
     ``gradient`` share one forcing builder and one Newmark average-
     acceleration integration, so the QoIs of a ``simulate`` history are
-    bit-identical to ``evaluate``.  Batch evaluation integrates its points
-    ``_BATCH_CHUNK`` at a time through ``newmark_response(..., reduce=True)``,
-    which is numpy's max and time mean of the chunk's history, bit for bit.
-    So a 1-point batch equals ``evaluate``; in a batch of two or more
-    points numpy adds each column's energies in node order rather than
-    pairwise, so the displacement is bit-identical to one-at-a-time
-    evaluation but the energy agrees with it to about 10 ulp.  Points must
+    bit-identical to ``evaluate``.  The forcing is built only up to the
+    latest gust-window end of the points at hand (30 of 201 rows in the
+    default box); ``newmark_response`` steps the later nodes with zero
+    forcing, and histories still come back on the whole time grid.  Batch
+    evaluation integrates its points ``_BATCH_CHUNK`` at a time through
+    ``newmark_response(..., reduce=True)``, which is numpy's max and time
+    mean of the chunk's history, bit for bit, so a chunk holds no (time x
+    point) array beyond those window rows.  So a 1-point batch equals
+    ``evaluate``; in a batch of two or more points numpy adds each
+    column's energies in node order rather than pairwise, so the
+    displacement is bit-identical to one-at-a-time evaluation but the
+    energy agrees with it to about 10 ulp.  Points must
     be finite with V_inf > 0, l_g > 0 and V_p >= 0, the final time must
     cover their gust windows, and each window must last at least
     ``_MIN_WINDOW_STEPS`` time steps; each entry point raises a ValueError
@@ -393,49 +430,54 @@ class GustOracle:
     def _forcing(self, points: np.ndarray, sensitivities: bool) -> np.ndarray:
         """Lift forcing Q(t) = 1/2 rho V_inf S C_La Vg(t) for each row of ``points``.
 
-        Returns (T, n) for n points; with ``sensitivities``, (T, n, 4): Q
-        followed by its partial derivatives wrt V_inf, l_g and V_p.  Only
-        the window rows are built: from the first time node after the onset
-        up to the first node at or after the batch's latest window end.  The
-        gust is zero outside its window, so every other row is exactly +0.0,
-        as it would be if it were built.  The window edges carry zero
-        velocity and zero phase derivative, so the partials are continuous
-        there.
+        Returns (hi, n) for n points; with ``sensitivities``, (hi, n, 4): Q
+        followed by its partial derivatives wrt V_inf, l_g and V_p.  Row i
+        is time node i, and ``hi`` is the first node at or after the
+        batch's latest window end; the gust is zero from there on, so the
+        forcing is exactly +0.0 at every later node and is left out (the
+        caller steps those nodes with ``newmark_response(..., n_nodes=)``).
+        Only the window rows are computed, from the first node after the
+        onset up to ``hi``; the rows before them are +0.0.  The window
+        edges carry zero velocity and zero phase derivative, so the
+        partials are continuous there.
         """
         t_grid = _time_grid(self.config)
         t0 = self.gust_onset_time
         vinf, lg, vp = points[:, 0], points[:, 1], points[:, 2]
         lo = np.searchsorted(t_grid, t0, side="right")
         hi = np.searchsorted(t_grid, (t0 + lg / vinf).max(), side="left")
-        out = np.zeros((t_grid.size, points.shape[0]) + ((4,) if sensitivities else ()))
+        out = np.zeros((hi, points.shape[0]) + ((4,) if sensitivities else ()))
         t = t_grid[lo:hi, None]
         phase, inside, shape = _gust_shape(t, t0, vinf, lg)
         scale = (0.5 * self.air_density * vinf
                  * self.wing.reference_area * self.wing.lift_curve_slope)
-        vg = 0.5 * vp * shape
         if not sensitivities:
-            out[lo:hi] = scale * vg
+            vg = np.multiply(0.5 * vp, shape, out=shape)
+            np.multiply(scale, vg, out=out[lo:])
             return out
+        vg = 0.5 * vp * shape
         sin_term = 0.5 * vp * np.sin(phase)
         d_vinf = np.where(inside, sin_term * 2.0 * np.pi * (t - t0) / lg, 0.0)
         d_lg = np.where(inside, -sin_term * 2.0 * np.pi * (t - t0) * vinf / lg**2, 0.0)
         # Q = scale(V_inf) * Vg; the V_inf column picks up the prefactor too.
-        out[lo:hi] = np.stack([scale * vg, scale * d_vinf + (scale / vinf) * vg,
-                               scale * d_lg, scale * (0.5 * shape)], axis=-1)
+        out[lo:] = np.stack([scale * vg, scale * d_vinf + (scale / vinf) * vg,
+                             scale * d_lg, scale * (0.5 * shape)], axis=-1)
         return out
 
     def _response(self, points: np.ndarray, sensitivities: bool = False,
                   reduce: bool = False):
-        """(q, qdot) of the forced oscillator, shaped like ``_forcing``'s result.
+        """(q, qdot) of the forced oscillator on the whole time grid.
 
-        With ``reduce``, ``newmark_response``'s (max q, mean strain energy)
-        instead, shaped like one time row of it.
+        Shaped (T, n), or (T, n, 4) with ``sensitivities``, for T time
+        nodes; with ``reduce``, ``newmark_response``'s (max q, mean strain
+        energy) instead, shaped like one time row.
         """
         forcing = self._forcing(points, sensitivities)
+        n_nodes = _time_grid(self.config).size
         out = newmark_response(self.wing.modal_mass, self.wing.damping, self.wing.stiffness,
                                forcing.reshape(forcing.shape[0], -1), self.config.time_step,
-                               reduce=reduce)
-        shape = forcing.shape[1:] if reduce else forcing.shape
+                               reduce=reduce, n_nodes=n_nodes)
+        shape = forcing.shape[1:] if reduce else (n_nodes,) + forcing.shape[1:]
         return tuple(x.reshape(shape) for x in out)
 
     def _check_one_point(self, x, caller: str) -> np.ndarray:

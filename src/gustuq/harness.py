@@ -24,7 +24,7 @@ from .core import (CountingOracle, InputSpace, QOI_NAMES, RiskMeasures,
                    sample_surrogate, substream, to_standard)
 from .dimred import dr_moments, dr_quantile, gudr_build, udr_build
 from .gust import GustOracle, SimulationConfig, WingModel
-from .kriging import KrigingModel, kriging_fit, kriging_risk
+from .kriging import KrigingModel, check_design_size, kriging_fit, kriging_risk
 from .montecarlo import mc_estimate
 from .pce import MIN_QUANTILE_SAMPLES, OVERSAMPLING, fit_regression, pce_moments, pce_quantile
 
@@ -306,6 +306,7 @@ def _run_nipc(counting, config, budget):
 
 
 def _run_kriging(counting, config, budget):
+    check_design_size(budget, config.space.dimension)  # before the design spends the budget
     _, risks = _kriging(counting, config, budget, config.seed + budget,
                         config.surrogate_samples)
     return dict(zip(QOI_NAMES, risks))

@@ -171,6 +171,12 @@ def _concentrated_fit(sq, values, theta, nugget):
     return ll, beta, sigma2, factor
 
 
+def check_design_size(n: int, d: int) -> None:
+    """Raise the ValueError ``kriging_fit`` gives for fewer than d + 2 training points."""
+    if n < d + 2:
+        raise ValueError(f"need at least d + 2 = {d + 2} training points, got {n}")
+
+
 def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -> KrigingModel:
     """Fit ordinary kriging on standard points by concentrated MLE.
 
@@ -182,8 +188,7 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
     points = np.array(points, dtype=float, ndmin=2)
     values = np.array(values, dtype=float)
     n, d = points.shape
-    if n < d + 2:
-        raise ValueError(f"need at least d + 2 = {d + 2} training points, got {n}")
+    check_design_size(n, d)
     if values.shape != (n,):
         raise ValueError("values must be a flat array matching the points")
     require_finite("kriging_fit", points=points, values=values, nugget=nugget)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ def test_sampling_hands_predict_the_cloud_in_bounded_blocks_in_order(n):
     assert all(1 <= len(b) <= _SAMPLE_CHUNK for b in blocks)
     np.testing.assert_array_equal(np.vstack(blocks), cloud)
     np.testing.assert_array_equal(got, np.concatenate([b.sum(axis=1) for b in blocks]))
+
+
+def test_sampling_memory_beyond_the_output_does_not_grow_with_the_cloud():
+    def extra_peak(n):
+        tracemalloc.start()
+        try:
+            sample_surrogate(lambda xi: xi.sum(axis=1), 3, n, 5, "spy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - 8 * n  # less the output array
+
+    extra_peak(2 * 10**4)  # first-call allocations
+    small, large = extra_peak(2 * 10**4), extra_peak(2 * 10**5)
+    assert large <= small + 1024
 
 
 @pytest.mark.parametrize("tag", ["kriging-risk", "dr-quantile", "pdf"])

@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gustuq import (GustOracle, GustProfile, InputSpace, QoIRecord, SimulationConfig,
                     TimeHistory, UncertainInput, WingModel, gust_velocity, qois)
 from gustuq import gust
-from gustuq.gust import _gust_shape, _time_grid, newmark_response
+from gustuq.gust import _time_grid, newmark_response
 
 NOMINAL = np.array([50.0, 6.0, 10.0])  # V_inf, l_g, V_p
 NOMINAL_WINDOW_END = 0.1 + NOMINAL[1] / NOMINAL[0]  # the default onset plus l_g / V_inf
@@ -466,6 +466,16 @@ def test_newmark_response_rejects_bad_forcing_shape(forcing):
         newmark_response(1.0, 0.0, 1.0, forcing, 0.01)
 
 
+@pytest.mark.parametrize("rows, n_nodes", [(3, 2), (3, 0), (3, 4.0), (3, 4.5), (3, "4"),
+                                           (1, True), (3, np.float64(4.0))],
+                         ids=["fewer-than-rows", "zero", "float", "fraction", "str", "bool",
+                              "numpy-float"])
+def test_newmark_response_names_a_bad_n_nodes(rows, n_nodes):
+    with pytest.raises(ValueError, match=f"n_nodes must be an integer no smaller than the "
+                                         f"forcing's {rows} time nodes"):
+        newmark_response(1.0, 0.0, 1.0, np.ones((rows, 2)), 0.01, n_nodes=n_nodes)
+
+
 # -- oracle properties over the input box --------------------------------------
 
 box_points = st.tuples(st.floats(40.0, 60.0), st.floats(4.0, 8.0),
@@ -501,11 +511,13 @@ def test_simulate_qois_bit_identical_to_evaluate(oracle, x):
 # -- window-only forcing ---------------------------------------------------------
 
 def _full_grid_forcing(oracle, points, sensitivities):
-    """Lift forcing and its partials built from ``_gust_shape`` on every time node."""
+    """Lift forcing and its partials on every time node, written as plain expressions."""
     t = _time_grid(oracle.config)[:, None]
     t0 = oracle.gust_onset_time
     vinf, lg, vp = points[:, 0], points[:, 1], points[:, 2]
-    phase, inside, shape = _gust_shape(t, t0, vinf, lg)
+    phase = 2.0 * np.pi * (t - t0) * vinf / lg
+    inside = (t > t0) & (t < t0 + lg / vinf)
+    shape = np.where(inside, 1.0 - np.cos(phase), 0.0)
     scale = (0.5 * oracle.air_density * vinf
              * oracle.wing.reference_area * oracle.wing.lift_curve_slope)
     vg = 0.5 * vp * shape
@@ -519,18 +531,19 @@ def _full_grid_forcing(oracle, points, sensitivities):
 
 
 def _assert_forcing_is_window_only(oracle, points):
-    """``_forcing`` equals the full-grid forcing bit for bit, and is +0.0 off the window rows."""
+    """``_forcing`` is the full-grid forcing's first ``hi`` rows, bit for bit, and the rest is +0.0.
+
+    ``hi`` is the first time node at or after the latest window end.
+    """
     t = _time_grid(oracle.config)
-    t0 = oracle.gust_onset_time
-    lo = np.searchsorted(t, t0, side="right")
-    hi = np.searchsorted(t, (t0 + points[:, 1] / points[:, 0]).max(), side="left")
+    hi = np.searchsorted(t, (oracle.gust_onset_time + points[:, 1] / points[:, 0]).max(),
+                         side="left")
     for sensitivities in (False, True):
         out = oracle._forcing(points, sensitivities)
         ref = _full_grid_forcing(oracle, points, sensitivities)
-        np.testing.assert_array_equal(out, ref)
-        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
-        off_window = np.concatenate([out[:lo], out[hi:]])
-        assert (off_window == 0.0).all() and not np.signbit(off_window).any()
+        assert out.shape == (hi,) + ref.shape[1:]
+        _assert_same_bits(out, ref[:hi])
+        assert (ref[hi:] == 0.0).all() and not np.signbit(ref[hi:]).any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -697,6 +710,51 @@ def test_newmark_reduce_bit_identical_to_history_reductions(case):
     _assert_same_bits(np.asarray(energy), np.asarray(energy_ref))
 
 
+@st.composite
+def truncated_forcing_cases(draw):
+    """``newmark_response`` keyword arguments with a zero-padded forcing, and its unpadded rows."""
+    width = draw(st.sampled_from([None, 1, SCALAR_COLUMNS, SCALAR_COLUMNS + 1, 40]))
+    n_nodes = draw(st.integers(1, 30))
+    rows = draw(st.integers(1, n_nodes))
+    shape = (n_nodes,) if width is None else (n_nodes, width)
+    values = draw(st.lists(forcing_values, min_size=rows * (width or 1),
+                           max_size=rows * (width or 1)))
+    forcing = np.zeros(shape)
+    forcing[:rows] = np.array(values).reshape((rows,) + shape[1:])
+    return dict(m=draw(st.floats(0.1, 500.0)),
+                c=draw(st.one_of(st.just(0.0), st.floats(1e-3, 100.0))),
+                k=draw(st.floats(1.0, 1e5)), forcing=forcing,
+                dt=draw(st.floats(1e-3, 0.05))), rows
+
+
+# With m = 1/4, c = 0, k = 1 and dt = 2 (the zero-damping test's constants),
+# forcing (+0, -5e-324) gives q1 = -5e-324, and the step to node 2 adds the
+# forcing's +0 to a mass term of -0 and then a damping term of -0.  So q2 is +0,
+# and so is the running maximum; leaving out the +0 forcing, or stepping with
+# -0, would make both -0.
+SIGNED_ZERO = dict(m=0.25, c=0.0, k=1.0, dt=2.0)
+SIGNED_ZERO_PADDED = np.array([0.0, -5e-324, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case_rows=truncated_forcing_cases(), reduce=st.booleans())
+@example(case_rows=(dict(SIGNED_ZERO, forcing=SIGNED_ZERO_PADDED), 2), reduce=False)
+@example(case_rows=(dict(SIGNED_ZERO, forcing=SIGNED_ZERO_PADDED[:, None]), 2), reduce=True)
+@example(case_rows=(dict(SIGNED_ZERO, forcing=np.tile(SIGNED_ZERO_PADDED[:, None], (1, 40))), 2),
+         reduce=True)
+def test_newmark_response_steps_nodes_past_the_forcing_as_zero_forcing(case_rows, reduce):
+    case, rows = case_rows
+    padded = case["forcing"]
+    assert (padded[rows:] == 0.0).all() and not np.signbit(padded[rows:]).any()
+    got = newmark_response(**{**case, "forcing": padded[:rows]}, reduce=reduce,
+                           n_nodes=padded.shape[0])
+    want = newmark_response(**case, reduce=reduce)
+    if padded is SIGNED_ZERO_PADDED:
+        assert want[0][-1] == 0.0 and not np.signbit(want[0][-1])
+    for g, w in zip(got, want):
+        _assert_same_bits(np.asarray(g), np.asarray(w))
+
+
 @pytest.mark.parametrize("width", [None, 1, SCALAR_COLUMNS, SCALAR_COLUMNS + 1])
 def test_newmark_reduce_max_keeps_the_signed_zero_tie_of_np_maximum(width):
     # q runs +0, +0, -0 (the last step is -5e-324 / k_eff with k_eff = 801,
@@ -726,7 +784,7 @@ def test_evaluate_batch_chunk_edges(oracle, space, monkeypatch):
     _assert_same_bits(out[10], oracle.evaluate(points[10]).as_array())
 
 
-def test_evaluate_batch_peak_memory_below_two_histories(oracle, space):
+def test_evaluate_batch_peak_memory_below_one_history(oracle, space):
     n = gust._BATCH_CHUNK
     rng = np.random.default_rng(12)
     points = space.lower + (space.upper - space.lower) * rng.random((n, 3))
@@ -737,4 +795,4 @@ def test_evaluate_batch_peak_memory_below_two_histories(oracle, space):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * history_bytes
+    assert peak < history_bytes

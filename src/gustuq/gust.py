@@ -160,10 +160,10 @@ def gust_velocity(t, profile: GustProfile, freestream_velocity: float):
 
 # Widest forcing that newmark_response reduces from its history, stepped one
 # column at a time in Python floats; wider reductions go through the ufunc
-# loop.  Per 201-node call the ufunc loop costs 4-5 ms at any width up to 64,
-# the Python loop about 0.15 ms per column, so they cross between 24 and 32
-# columns (2-core Xeon VM, Python 3.11, numpy 2.4); 16 keeps a margin of
-# about 1.5x.
+# loop.  Per 201-node call the ufunc loop costs 1.6-1.9 ms at any width
+# from 4 to 64, the Python loop about 0.07 ms per column, so they cross
+# between 24 and 32 columns (2-core Xeon VM, Python 3.11, numpy 2.4); 16
+# keeps a margin of about 1.6x.
 _SCALAR_COLUMNS = 16
 
 

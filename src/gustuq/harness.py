@@ -131,6 +131,9 @@ class StudyConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; pick from {METHODS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:  # a repeat would run the method again and write its rows twice
+            raise ValueError(f"methods repeat {repeated}; name each method once")
         d = self.space.dimension
         for name, floor, need in (  # a floor of 0 belongs to a method not in the sweep
                 ("truth_train", d + 2, f"the ground truth fits kriging in d = {d} inputs"),

@@ -127,22 +127,15 @@ def _solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # correlation matrix is too ill-conditioned for nugget-scale interpolation.
 _MIN_DIAG_RATIO = 1e-3
 
-# θ values (as bytes) whose R + nugget I failed to factor or failed the
-# _MIN_DIAG_RATIO guard, for one design. Rejection depends only on the
-# points, θ, the nugget and the guard, not on the values, so the second QoI
-# fitted on a design skips the θ the first one rejected. One entry: a fit
-# with another key replaces it. Accepted θ are always recomputed.
-_REJECTED: dict[tuple, set[bytes]] = {}
 
-
-def _rejected_thetas(points: np.ndarray, nugget: float) -> set[bytes]:
-    key = (points.tobytes(), points.shape, nugget, _MIN_DIAG_RATIO)
-    rejected = _REJECTED.get(key)
-    if rejected is None:  # a concurrent fit on another design costs a miss, never a wrong entry
-        rejected = set()
-        _REJECTED.clear()
-        _REJECTED[key] = rejected
-    return rejected
+@functools.lru_cache(maxsize=1)
+def _rejected_thetas(design: bytes, shape: tuple, nugget: float, ratio: float) -> set[bytes]:
+    """θ values (as bytes) whose R + nugget I failed to factor or failed the
+    ``_MIN_DIAG_RATIO`` guard on the design with these point bytes and shape.
+    Rejection does not depend on the values, so the second QoI fitted on a
+    design skips the θ the first one rejected. One entry: another key replaces
+    it, so a concurrent fit on another design costs a miss, never a wrong entry."""
+    return set()
 
 
 def _concentrated_fit(sq, values, theta, nugget):
@@ -182,7 +175,7 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
 
     The lengthscale search covers a 5-per-dimension log grid on
     [1e-2, 1e2] refined by coordinate descent in log space; the positive nugget
-    escalates tenfold (up to 1e-4) if every factorization fails. The model
+    escalates tenfold (up to 1e-4) while the search finds no usable θ. The model
     keeps copies of ``points`` and ``values``.
     """
     points = np.array(points, dtype=float, ndmin=2)
@@ -202,59 +195,45 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
         raise ValueError(f"duplicate training points at indices {i} and {j}")
 
     current = nugget
-    while True:
-        try:
-            return _fit_at_nugget(points, sq, values, current)
-        except LinAlgError:
-            if current >= _MAX_NUGGET:
-                raise FitError(
-                    "correlation matrix is not positive definite even at "
-                    f"nugget {current:g}; increase the nugget or thin the design"
-                ) from None
-            current = min(current * 10.0, _MAX_NUGGET)
+    while (model := _fit_at_nugget(points, sq, values, current)) is None:
+        if current >= _MAX_NUGGET:
+            raise FitError("correlation matrix is not positive definite even at nugget "
+                           f"{current:g}; increase the nugget or thin the design")
+        current = min(current * 10.0, _MAX_NUGGET)
+    return model
 
 
-def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
+def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel | None:
+    """The model at this nugget, or None if it rejects every grid θ or the final one."""
     d = points.shape[1]
-    grid = np.logspace(math.log10(_THETA_BOUNDS[0]), math.log10(_THETA_BOUNDS[1]),
-                       _GRID_POINTS)
-    rejected = _rejected_thetas(points, nugget)
-    # Log-likelihood of each θ this fit has factored: coordinate descent
-    # comes back to the θ it just left.
-    accepted: dict[bytes, float] = {}
+    log_lo, log_hi = math.log10(_THETA_BOUNDS[0]), math.log10(_THETA_BOUNDS[1])
+    grid = np.logspace(log_lo, log_hi, _GRID_POINTS)
+    rejected = _rejected_thetas(points.tobytes(), points.shape, nugget, _MIN_DIAG_RATIO)
+    # Log-likelihood of each θ this fit has tried: coordinate descent comes
+    # back to the θ it just left.
+    scores: dict[bytes, float] = {}
 
     def log_likelihood(theta):
+        """Concentrated log-likelihood at θ; −∞ where the design rejects θ."""
         key = theta.tobytes()
-        if key in rejected:
-            raise LinAlgError("correlation matrix rejected earlier on this design")
-        if key not in accepted:
-            try:
-                accepted[key] = _concentrated_fit(sq, values, theta, nugget)[0]
-            except LinAlgError:
-                rejected.add(key)
-                raise
-        return accepted[key]
+        if key not in scores:
+            scores[key] = -math.inf
+            if key not in rejected:
+                try:
+                    scores[key] = _concentrated_fit(sq, values, theta, nugget)[0]
+                except LinAlgError:
+                    rejected.add(key)
+        return scores[key]
 
-    best_ll = -math.inf
-    best_theta = None
-    failures = 0
-    total = 0
-    for combo in itertools.product(grid, repeat=d):
-        total += 1
-        theta = np.array(combo)
-        try:
-            ll = log_likelihood(theta)
-        except LinAlgError:
-            failures += 1
-            continue
+    best_ll, best_theta = -math.inf, None
+    for theta in map(np.array, itertools.product(grid, repeat=d)):
+        ll = log_likelihood(theta)
         if ll > best_ll:  # strict: ties keep the lowest grid index
             best_ll, best_theta = ll, theta
     if best_theta is None:
-        assert failures == total
-        raise LinAlgError("all grid starts failed to factorize")
+        return None
 
     # Coordinate descent on log10(theta), clipped to the search box.
-    log_lo, log_hi = math.log10(_THETA_BOUNDS[0]), math.log10(_THETA_BOUNDS[1])
     log_theta = np.log10(best_theta)
     step = 0.5
     while step >= 0.05 and math.isfinite(best_ll):
@@ -265,18 +244,19 @@ def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel:
                 trial[j] = min(max(trial[j] + delta, log_lo), log_hi)
                 if trial[j] == log_theta[j]:
                     continue
-                try:
-                    ll = log_likelihood(10.0 ** trial)
-                except LinAlgError:
-                    continue
+                ll = log_likelihood(10.0 ** trial)
                 if ll > best_ll:
                     best_ll, log_theta = ll, trial
                     improved = True
         if not improved:
             step *= 0.5
 
+    # Refit rather than reuse the best fit: 10 ** log10(θ) can be an ulp off θ.
     theta = 10.0 ** log_theta
-    _, beta, sigma2, factor = _concentrated_fit(sq, values, theta, nugget)
+    try:
+        _, beta, sigma2, factor = _concentrated_fit(sq, values, theta, nugget)
+    except LinAlgError:
+        return None
     alpha = _solve(factor, values - beta)
     return KrigingModel(train_points=points, train_values=values,
                         lengthscales=theta, process_variance=sigma2,

@@ -84,9 +84,11 @@ class PCESurrogate:
     coefficients: np.ndarray
 
     def predict(self, xi: np.ndarray) -> np.ndarray:
-        """Evaluate the expansion at standard points, shape (n, d) or (d,)."""
-        xi = standard_points(xi, self.space.dimension, "PCESurrogate.predict")
-        return _design_matrix(xi, self.basis) @ self.coefficients
+        """Evaluate the expansion at standard points (n, d), or a float at one (d,) point."""
+        xi = np.asarray(xi, dtype=float)
+        out = _design_matrix(standard_points(xi, self.space.dimension, "PCESurrogate.predict"),
+                             self.basis) @ self.coefficients
+        return float(out[0]) if xi.ndim == 1 else out
 
 
 def _design_matrix(xi: np.ndarray, basis) -> np.ndarray:

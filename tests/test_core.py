@@ -52,6 +52,24 @@ def test_to_standard_names_a_wrong_column_count(space, shape):
         to_standard(np.full(shape, 50.0), space)
 
 
+def test_every_predictor_returns_a_float_for_one_point(space):
+    # a (d,) point gives a float: the value of that point as a (1, d) stack
+    x = latin_hypercube(20, space, 3)
+    pts = to_standard(x, space)
+    values = np.sin(pts).sum(axis=1)
+    predictors = {
+        "PCESurrogate": fit_regression(pts, values, 2, space).predict,
+        "KrigingModel": kriging_fit(pts, values).predict,
+        "UDRApprox": udr_build_scalar(lambda p: float(np.sin(to_standard(p, space)).sum()),
+                                      space, 3),
+    }
+    point = np.array([0.1, -0.2, 0.3])
+    for name, predict in predictors.items():
+        got = predict(point)
+        assert type(got) is float, name
+        assert got == predict(point[None, :])[0], name
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         UncertainInput("x", 1.0, 1.0)

@@ -41,6 +41,29 @@ def test_config_validates_methods():
         StudyConfig(methods=("nipc", "bogus"))
 
 
+@pytest.mark.parametrize("methods", [("mc", "mc"), ("nipc", "mc", "udr", "mc")])
+def test_config_rejects_a_repeated_method_by_name(methods):
+    # a repeat would run the method twice and write each of its rows twice
+    with pytest.raises(ValueError, match=re.escape("methods repeat ['mc']")):
+        StudyConfig(methods=methods)
+    with pytest.raises(ValueError, match=re.escape("methods repeat ['mc']")):
+        StudyConfig.from_dict({"methods": list(methods)})
+
+
+def test_cli_converge_rejects_a_repeated_method_as_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_truth(*args, **kwargs):
+        raise AssertionError("the config must fail before the ground truth")
+
+    monkeypatch.setattr("gustuq.cli.run_ground_truth", no_truth)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["converge", "--methods", "mc,mc", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "gustuq converge: error: invalid configuration: methods repeat ['mc']" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["methods", "budgets"])
 def test_config_rejects_an_empty_sweep_by_name(name):
     with pytest.raises(ValueError, match=f"{name} must not be empty"):

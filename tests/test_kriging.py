@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from gustuq import (InputSpace, KrigingModel, UncertainInput, kriging_fit,
+from gustuq import (FitError, InputSpace, KrigingModel, UncertainInput, kriging_fit,
                     kriging_predict, kriging_risk, latin_hypercube, to_standard)
 from gustuq import kriging
 from gustuq.kriging import (_MAX_NUGGET, _MIN_DIAG_RATIO, _THETA_BOUNDS, _concentrated_fit,
@@ -360,13 +360,15 @@ def _assert_same_model(got, want):
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    monkeypatch.setattr(kriging, "_REJECTED", {})
+def empty_memo():
+    kriging._rejected_thetas.cache_clear()
+    yield
+    kriging._rejected_thetas.cache_clear()
 
 
 def _fresh_fit(points, values, **kwargs):
     """A fit that starts from an empty rejection memo."""
-    kriging._REJECTED.clear()
+    kriging._rejected_thetas.cache_clear()
     return kriging_fit(points, values, **kwargs)
 
 
@@ -406,7 +408,7 @@ def test_second_qoi_factors_no_theta_the_first_rejected(space, empty_memo, monke
     pts = std_lhs(60, space, 15)
     first, second = _qois(pts)
     want = _fresh_fit(pts, second)
-    kriging._REJECTED.clear()
+    kriging._rejected_thetas.cache_clear()
     factored = _factored_thetas(monkeypatch)
     kriging_fit(pts, first)
     rejected = {t for t in factored if _reference_rejects(pts, t)}
@@ -435,7 +437,7 @@ def test_memo_follows_the_design(space, empty_memo):
     clustered = 0.2 * spread
     want = {name: _fresh_fit(pts, _qois(pts)[0])
             for name, pts in (("clustered", clustered), ("spread", spread))}
-    kriging._REJECTED.clear()
+    kriging._rejected_thetas.cache_clear()
     for name, pts in (("clustered", clustered), ("spread", spread), ("clustered", clustered)):
         _assert_same_model(kriging_fit(pts, _qois(pts)[0]), want[name])
 
@@ -456,7 +458,7 @@ def test_memo_is_not_served_across_nuggets_or_guard_ratios(space, empty_memo, mo
     monkeypatch.setattr(kriging, "_MIN_DIAG_RATIO", _MIN_DIAG_RATIO)
 
     factored = _factored_thetas(monkeypatch)
-    kriging._REJECTED.clear()
+    kriging._rejected_thetas.cache_clear()
     kriging_fit(pts, first)
     rejected = {t for t in factored if _reference_rejects(pts, t)}
     assert rejected
@@ -470,3 +472,36 @@ def test_memo_is_not_served_across_nuggets_or_guard_ratios(space, empty_memo, mo
     monkeypatch.setattr(kriging, "_MIN_DIAG_RATIO", 1e-5)
     _assert_same_model(kriging_fit(pts, second), want_ratio)
     assert rejected.intersection(factored)
+
+
+@pytest.mark.parametrize("start", [1e-10, _MAX_NUGGET])
+def test_a_failed_final_refit_raises_the_nugget(space, empty_memo, monkeypatch, start):
+    # The refit at 10 ** log_theta is not the θ the search scored bit for bit, so it
+    # can fail where the search did not; the fit then moves to the next nugget.
+    pts = std_lhs(30, space, 19)
+    values = _qois(pts)[0]
+    concentrated_fit, calls = kriging._concentrated_fit, []
+
+    def spy(sq, values, theta, nugget, reject_call=None):
+        calls.append((theta.tobytes(), nugget))
+        if len(calls) == reject_call:
+            raise LinAlgError("rejected at the final refit")
+        return concentrated_fit(sq, values, theta, nugget)
+
+    monkeypatch.setattr(kriging, "_concentrated_fit", spy)
+    want = kriging_fit(pts, values, nugget=start)
+    assert calls[-1] == (want.lengthscales.tobytes(), start)  # the refit is the last call
+    final = len(calls)
+    kriging._rejected_thetas.cache_clear()
+    del calls[:]
+    monkeypatch.setattr(kriging, "_concentrated_fit",
+                        lambda *args: spy(*args, reject_call=final))
+    if start == _MAX_NUGGET:
+        with pytest.raises(FitError, match="not positive definite even at nugget 0.0001"):
+            kriging_fit(pts, values, nugget=start)
+        return
+    got = kriging_fit(pts, values, nugget=start)
+    assert calls[final - 1] == (want.lengthscales.tobytes(), start)
+    monkeypatch.setattr(kriging, "_concentrated_fit", concentrated_fit)
+    assert got.nugget == _nugget_ladder(start)[1]
+    _assert_same_model(got, _fresh_fit(pts, values, nugget=got.nugget))

@@ -133,13 +133,17 @@ class CountingOracle:
     Each point evaluated counts one unit, whether it comes through
     ``evaluate`` or as one row of an ``evaluate_batch`` call; each
     ``gradient`` call counts one unit more.  ``total_cost`` is the sum,
-    the convention used when reporting budgets.
+    the convention used when reporting budgets.  The wrapper has a
+    ``gradient`` only if ``inner`` has one, so that ``hasattr`` checks
+    (GUDR's) see the inner oracle's capability.
     """
 
     def __init__(self, inner):
         self.inner = inner
         self.evaluations = 0
         self.gradient_evaluations = 0
+        if hasattr(inner, "gradient"):
+            self.gradient = self._counted_gradient
 
     def evaluate(self, x):
         self.evaluations += 1
@@ -150,7 +154,7 @@ class CountingOracle:
         self.evaluations += points.shape[0]
         return self.inner.evaluate_batch(points)
 
-    def gradient(self, x):
+    def _counted_gradient(self, x):
         self.gradient_evaluations += 1
         return self.inner.gradient(x)
 

@@ -56,16 +56,20 @@ class KrigingModel:
 
     @classmethod
     def from_json(cls, doc: str) -> "KrigingModel":
+        """The model ``to_json`` wrote; a malformed document is a ValueError naming its field."""
         data = json.loads(doc)
+        where = "KrigingModel.from_json"
         points = np.array(data["train_points"], dtype=float)
         values = np.array(data["train_values"], dtype=float)
         theta = np.array(data["lengthscales"], dtype=float)
         nugget = float(data["nugget"])
         trend = float(data["trend"])
-        require_finite("KrigingModel.from_json", train_points=points, train_values=values,
-                       lengthscales=theta, nugget=nugget, trend=trend)
-        factor = _cholesky(_correlation(_sq_dists(points, points), theta, nugget))
-        alpha = _solve(factor, values - trend)
+        sq = _checked_design(where, nugget, train_points=points, train_values=values)
+        require_finite(where, lengthscales=theta, trend=trend)
+        if theta.shape != points.shape[1:] or not np.all(theta > 0.0):
+            raise ValueError(f"{where}: lengthscales must be {points.shape[1]} positive rates, "
+                             f"got {theta.tolist()}")
+        alpha = _solve(_cholesky(_correlation(sq, theta, nugget)), values - trend)
         return cls(train_points=points, train_values=values, lengthscales=theta,
                    process_variance=float(data["process_variance"]),
                    trend=trend, nugget=nugget, _alpha=alpha)
@@ -139,8 +143,9 @@ def _rejected_thetas(design: bytes, shape: tuple, nugget: float, ratio: float) -
 
 
 def _concentrated_fit(sq, values, theta, nugget):
-    """(log-likelihood, trend, process variance, cholesky factor) at fixed theta.
+    """(log-likelihood, trend, process variance, alpha) at fixed theta.
 
+    alpha is (R + nugget I)^-1 (y - beta 1), the model's prediction weights.
     Raises LinAlgError for non-SPD or numerically near-singular
     correlation matrices, so the optimizer treats both alike.
     """
@@ -154,20 +159,48 @@ def _concentrated_fit(sq, values, theta, nugget):
     rinv_y = _solve(factor, values)
     beta = float(ones @ rinv_y) / float(ones @ rinv_ones)
     resid = values - beta
-    sigma2 = float(resid @ _solve(factor, resid)) / n
+    alpha = _solve(factor, resid)
+    sigma2 = float(resid @ alpha) / n
     logdet = 2.0 * np.sum(np.log(diag))
     scale = max(float(values @ values) / n, 1.0)
     if sigma2 <= 1e-15 * scale:
         # Degenerate (e.g. constant data): flat likelihood, any theta works.
-        return math.inf, beta, max(sigma2, 0.0), factor
+        return math.inf, beta, max(sigma2, 0.0), alpha
     ll = -0.5 * n * math.log(sigma2) - 0.5 * logdet
-    return ll, beta, sigma2, factor
+    return ll, beta, sigma2, alpha
 
 
-def check_design_size(n: int, d: int) -> None:
+def check_design_size(n: int, d: int, caller: str = "kriging_fit") -> None:
     """Raise the ValueError ``kriging_fit`` gives for fewer than d + 2 training points."""
     if n < d + 2:
-        raise ValueError(f"need at least d + 2 = {d + 2} training points, got {n}")
+        raise ValueError(f"{caller}: need at least d + 2 = {d + 2} training points, got {n}")
+
+
+def _checked_design(caller: str, nugget: float, **design: np.ndarray) -> np.ndarray:
+    """The (n, n, d) squared differences of a design that passes every kriging check.
+
+    ``design`` names the (n, d) points, then the (n,) values; a failed check
+    is a ValueError naming ``caller`` and the field.
+    """
+    (points_name, points), (values_name, values) = design.items()
+    if points.ndim != 2:
+        raise ValueError(f"{caller}: {points_name} must be an (n, d) array, got shape "
+                         f"{points.shape}")
+    n, d = points.shape
+    check_design_size(n, d, caller)
+    if values.shape != (n,):
+        raise ValueError(f"{caller}: {values_name} must have shape ({n},) to match "
+                         f"{points_name}, got {values.shape}")
+    require_finite(caller, **design, nugget=nugget)
+    if nugget <= 0.0:  # the tenfold escalation could never leave zero
+        raise ValueError(f"{caller}: nugget is {nugget}; it must be positive")
+    sq = _sq_dists(points, points)
+    diffs = sq.sum(axis=2)
+    np.fill_diagonal(diffs, np.inf)
+    if diffs.min() < 1e-20:
+        i, j = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
+        raise ValueError(f"{caller}: duplicate {points_name} at indices {i} and {j}")
+    return sq
 
 
 def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -> KrigingModel:
@@ -180,20 +213,7 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
     """
     points = np.array(points, dtype=float, ndmin=2)
     values = np.array(values, dtype=float)
-    n, d = points.shape
-    check_design_size(n, d)
-    if values.shape != (n,):
-        raise ValueError("values must be a flat array matching the points")
-    require_finite("kriging_fit", points=points, values=values, nugget=nugget)
-    if nugget <= 0.0:  # the tenfold escalation below could never leave zero
-        raise ValueError(f"kriging_fit: nugget is {nugget}; it must be positive")
-    sq = _sq_dists(points, points)  # shared by every likelihood evaluation
-    diffs = sq.sum(axis=2)
-    np.fill_diagonal(diffs, np.inf)
-    if diffs.min() < 1e-20:
-        i, j = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
-        raise ValueError(f"duplicate training points at indices {i} and {j}")
-
+    sq = _checked_design("kriging_fit", nugget, points=points, values=values)
     current = nugget
     while (model := _fit_at_nugget(points, sq, values, current)) is None:
         if current >= _MAX_NUGGET:
@@ -204,26 +224,26 @@ def kriging_fit(points: np.ndarray, values: np.ndarray, nugget: float = 1e-10) -
 
 
 def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel | None:
-    """The model at this nugget, or None if it rejects every grid θ or the final one."""
+    """The model at this nugget, or None if it rejects every grid θ."""
     d = points.shape[1]
     log_lo, log_hi = math.log10(_THETA_BOUNDS[0]), math.log10(_THETA_BOUNDS[1])
     grid = np.logspace(log_lo, log_hi, _GRID_POINTS)
     rejected = _rejected_thetas(points.tobytes(), points.shape, nugget, _MIN_DIAG_RATIO)
-    # Log-likelihood of each θ this fit has tried: coordinate descent comes
-    # back to the θ it just left.
-    scores: dict[bytes, float] = {}
+    # ``_concentrated_fit`` of each θ this fit has tried: coordinate descent comes
+    # back to the θ it just left, and the best θ's fit is the model.
+    fits: dict[bytes, tuple] = {}
 
     def log_likelihood(theta):
         """Concentrated log-likelihood at θ; −∞ where the design rejects θ."""
         key = theta.tobytes()
-        if key not in scores:
-            scores[key] = -math.inf
+        if key not in fits:
+            fits[key] = (-math.inf,)
             if key not in rejected:
                 try:
-                    scores[key] = _concentrated_fit(sq, values, theta, nugget)[0]
+                    fits[key] = _concentrated_fit(sq, values, theta, nugget)
                 except LinAlgError:
                     rejected.add(key)
-        return scores[key]
+        return fits[key][0]
 
     best_ll, best_theta = -math.inf, None
     for theta in map(np.array, itertools.product(grid, repeat=d)):
@@ -244,22 +264,16 @@ def _fit_at_nugget(points, sq, values, nugget) -> KrigingModel | None:
                 trial[j] = min(max(trial[j] + delta, log_lo), log_hi)
                 if trial[j] == log_theta[j]:
                     continue
-                ll = log_likelihood(10.0 ** trial)
+                ll = log_likelihood(theta := 10.0 ** trial)
                 if ll > best_ll:
-                    best_ll, log_theta = ll, trial
+                    best_ll, best_theta, log_theta = ll, theta, trial
                     improved = True
         if not improved:
             step *= 0.5
 
-    # Refit rather than reuse the best fit: 10 ** log10(θ) can be an ulp off θ.
-    theta = 10.0 ** log_theta
-    try:
-        _, beta, sigma2, factor = _concentrated_fit(sq, values, theta, nugget)
-    except LinAlgError:
-        return None
-    alpha = _solve(factor, values - beta)
+    _, beta, sigma2, alpha = fits[best_theta.tobytes()]
     return KrigingModel(train_points=points, train_values=values,
-                        lengthscales=theta, process_variance=sigma2,
+                        lengthscales=best_theta, process_variance=sigma2,
                         trend=beta, nugget=nugget, _alpha=alpha)
 
 

@@ -362,6 +362,23 @@ def test_each_cell_costs_what_the_protocol_budget_rule_says(method, budget):
     assert counting.total_cost == expected.get(method, budget)
 
 
+class ValuesOnlyOracle:
+    """LinearOracle's values, without its gradient."""
+
+    weights = LinearOracle.weights
+    evaluate = LinearOracle.evaluate
+    evaluate_batch = LinearOracle.evaluate_batch
+
+
+def test_gudr_cell_without_gradients_fails_before_any_oracle_call():
+    counting = CountingOracle(ValuesOnlyOracle())
+    with pytest.raises(TypeError, match="GUDR requires an oracle with gradient capability"):
+        harness._RUNNERS["gudr"](counting, StudyConfig(), 16)
+    assert counting.total_cost == 0
+    assert not hasattr(counting, "gradient")
+    assert hasattr(CountingOracle(LinearOracle()), "gradient")
+
+
 def test_failure_is_flagged_not_silent(small_truth):
     config = StudyConfig(methods=("nipc", "mc"), budgets=(4, 8), **SMALL)
     records = run_convergence(config, small_truth)

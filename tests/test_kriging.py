@@ -13,8 +13,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from gustuq import (FitError, InputSpace, KrigingModel, UncertainInput, kriging_fit,
                     kriging_predict, kriging_risk, latin_hypercube, to_standard)
 from gustuq import kriging
-from gustuq.kriging import (_MAX_NUGGET, _MIN_DIAG_RATIO, _THETA_BOUNDS, _concentrated_fit,
-                            _correlation, _solve, _sq_dists)
+from gustuq.kriging import (_GRID_POINTS, _MAX_NUGGET, _MIN_DIAG_RATIO, _THETA_BOUNDS,
+                            _concentrated_fit, _correlation, _sq_dists)
 
 
 @pytest.fixture
@@ -298,6 +298,31 @@ def test_from_json_rejects_non_finite_fields_by_name(space):
         KrigingModel.from_json(json.dumps(doc))
 
 
+# A program-written document edited one field at a time: (field, edit).
+MALFORMED = {
+    "two lengthscales": ("lengthscales", lambda xs: xs[:2]),
+    "a negative lengthscale": ("lengthscales", lambda xs: [-xs[0]] + xs[1:]),
+    "a zero lengthscale": ("lengthscales", lambda xs: [0.0] + xs[1:]),
+    "five train_values": ("train_values", lambda xs: xs[:5]),
+    "1-D train_points": ("train_points", lambda xs: [x[0] for x in xs]),
+    "a duplicate training point": ("train_points", lambda xs: xs[:-1] + [xs[0]]),
+    "a negative nugget": ("nugget", lambda x: -x),
+    "nugget 0": ("nugget", lambda x: 0.0),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_from_json_names_the_malformed_field(space, case):
+    field, edit = MALFORMED[case]
+    pts = std_lhs(20, space, 14)
+    doc = json.loads(kriging_fit(pts, pts.sum(axis=1)).to_json())
+    doc[field] = edit(doc[field])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^KrigingModel.from_json: .*{field}"):
+            KrigingModel.from_json(json.dumps(doc))
+
+
 def _reference_concentrated_fit(sq, values, theta, nugget):
     """(log-likelihood, trend, process variance, cholesky factor) at fixed theta.
 
@@ -345,9 +370,8 @@ def test_concentrated_fit_matches_cho_factor_reference_bit_for_bit(design, const
             continue
         got = _concentrated_fit(sq, values, theta, nugget)
         assert _bits(*got[:3]) == _bits(*want[:3])
-        assert _bits(np.tril(got[3])) == _bits(np.tril(want[3][0]))
-        # the final alpha solve of a fit
-        assert _bits(_solve(got[3], values - got[1])) == _bits(cho_solve(want[3], values - want[1]))
+        # alpha, the model's prediction weights when this θ wins the search
+        assert _bits(got[3]) == _bits(cho_solve(want[3], values - want[1]))
 
 
 _MODEL_FIELDS = ("lengthscales", "trend", "process_variance", "nugget", "_alpha",
@@ -425,8 +449,7 @@ def test_a_fit_factors_each_theta_once(space, empty_memo, monkeypatch):
         del factored[:]
         model = kriging_fit(pts, values)
         counts = Counter(factored)
-        final = model.lengthscales.tobytes()  # refit once more to build the model
-        assert counts.pop(final, 0) <= 2
+        assert counts[model.lengthscales.tobytes()] == 1  # the model is the scored fit
         assert max(counts.values()) == 1
 
 
@@ -475,33 +498,26 @@ def test_memo_is_not_served_across_nuggets_or_guard_ratios(space, empty_memo, mo
 
 
 @pytest.mark.parametrize("start", [1e-10, _MAX_NUGGET])
-def test_a_failed_final_refit_raises_the_nugget(space, empty_memo, monkeypatch, start):
-    # The refit at 10 ** log_theta is not the θ the search scored bit for bit, so it
-    # can fail where the search did not; the fit then moves to the next nugget.
+def test_a_nugget_that_rejects_every_grid_theta_raises_the_nugget(space, empty_memo, monkeypatch,
+                                                                   start):
     pts = std_lhs(30, space, 19)
     values = _qois(pts)[0]
-    concentrated_fit, calls = kriging._concentrated_fit, []
+    concentrated_fit, tried = kriging._concentrated_fit, []
 
-    def spy(sq, values, theta, nugget, reject_call=None):
-        calls.append((theta.tobytes(), nugget))
-        if len(calls) == reject_call:
-            raise LinAlgError("rejected at the final refit")
+    def reject_at_start(sq, values, theta, nugget):
+        if nugget == start:
+            tried.append(theta.tobytes())
+            raise LinAlgError("rejected at the starting nugget")
         return concentrated_fit(sq, values, theta, nugget)
 
-    monkeypatch.setattr(kriging, "_concentrated_fit", spy)
-    want = kriging_fit(pts, values, nugget=start)
-    assert calls[-1] == (want.lengthscales.tobytes(), start)  # the refit is the last call
-    final = len(calls)
-    kriging._rejected_thetas.cache_clear()
-    del calls[:]
-    monkeypatch.setattr(kriging, "_concentrated_fit",
-                        lambda *args: spy(*args, reject_call=final))
+    monkeypatch.setattr(kriging, "_concentrated_fit", reject_at_start)
     if start == _MAX_NUGGET:
         with pytest.raises(FitError, match="not positive definite even at nugget 0.0001"):
             kriging_fit(pts, values, nugget=start)
-        return
-    got = kriging_fit(pts, values, nugget=start)
-    assert calls[final - 1] == (want.lengthscales.tobytes(), start)
-    monkeypatch.setattr(kriging, "_concentrated_fit", concentrated_fit)
-    assert got.nugget == _nugget_ladder(start)[1]
-    _assert_same_model(got, _fresh_fit(pts, values, nugget=got.nugget))
+    else:
+        got = kriging_fit(pts, values, nugget=start)
+        monkeypatch.setattr(kriging, "_concentrated_fit", concentrated_fit)
+        assert got.nugget == _nugget_ladder(start)[1]
+        _assert_same_model(got, _fresh_fit(pts, values, nugget=got.nugget))
+    # every grid θ was tried once at the starting nugget, and no descent step followed
+    assert len(tried) == len(set(tried)) == _GRID_POINTS ** pts.shape[1]
